@@ -25,7 +25,9 @@
 #ifndef MDA_CACHE_STORAGE_HH
 #define MDA_CACHE_STORAGE_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -55,11 +57,13 @@ class LineStorage
           _lru(num_sets * ways, 0),
           _dirty(num_sets * ways, 0),
           _prefetched(num_sets * ways, 0),
-          _data(num_sets * ways)
+          _data(num_sets * ways),
+          _occMask(std::bit_ceil(std::min<std::uint64_t>(
+                       num_sets * ways * 16, 1 << 16)) - 1)
     {
         mda_assert(num_sets > 0 && ways > 0, "empty storage");
         for (auto &occ : _tileOcc)
-            occ.assign(tileOccBuckets, 0);
+            occ.assign(_occMask + 1, 0);
     }
 
     std::uint64_t numSets() const { return _sets; }
@@ -299,7 +303,7 @@ class LineStorage
     mayHoldTileLines(Orientation o, std::uint64_t tile) const
     {
         const auto &occ = _tileOcc[o == Orientation::Col];
-        return occ[tile & (tileOccBuckets - 1)] != 0;
+        return occ[tile & _occMask] != 0;
     }
 
     /** Currently valid column-oriented lines (Fig. 15 occupancy). */
@@ -382,16 +386,11 @@ class LineStorage
   private:
     static constexpr std::uint64_t invalidKey = ~std::uint64_t{0};
 
-    /** Buckets in the per-orientation tile-occupancy tables. Power of
-     *  two; exact per tile for matrices up to 2048x2048, aliased (and
-     *  therefore conservative) beyond. */
-    static constexpr std::size_t tileOccBuckets = std::size_t{1} << 16;
-
     std::uint32_t &
     occSlot(const OrientedLine &line)
     {
         return _tileOcc[line.orient == Orientation::Col]
-                       [line.tile() & (tileOccBuckets - 1)];
+                       [line.tile() & _occMask];
     }
 
     std::uint64_t _sets;
@@ -404,6 +403,10 @@ class LineStorage
     std::vector<std::uint8_t> _prefetched;
     /** Data plane, parallel to the metadata arrays. */
     std::vector<std::array<std::uint8_t, lineBytes>> _data;
+    /** Tile-occupancy table size - 1: a power of two, 16 buckets per
+     *  frame (at most 1/16 occupied) up to 2^16. Sized by capacity, a
+     *  small cache does not zero 512 KiB when it is built. */
+    std::uint64_t _occMask;
     /** Valid-line counts per (orientation, aliased tile); updated on
      *  install/invalidate only, so the counts are simulation state,
      *  never address-derived. */

@@ -1,7 +1,6 @@
 #include "oracle.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "core/line_cache.hh"
@@ -112,11 +111,9 @@ class DesignRun
             below->setUpstream(_levels[n].get());
         }
         _levels.front()->setUpstream(&_cpu);
-        if (opts.packetPooling) {
-            for (auto &level : _levels)
-                level->setPacketPool(&_pool);
-            _mem->setPacketPool(&_pool);
-        }
+        for (auto &level : _levels)
+            level->setPacketPool(&_pool);
+        _mem->setPacketPool(&_pool);
     }
 
     const std::vector<Failure> &failures() const { return _failures; }
@@ -178,7 +175,7 @@ class DesignRun
         for (Addr addr : touched) {
             auto pkt = Packet::makeScalar(MemCmd::Read, addr,
                                           Orientation::Row, 0,
-                                          _eq.curTick(), cpuPool());
+                                          _eq.curTick(), &_pool);
             if (!send(std::move(pkt), npos) || !runToQuiescence(npos))
                 return false;
             if (_cpu.responses.size() != 1) {
@@ -310,14 +307,14 @@ class DesignRun
         auto pc = static_cast<std::uint32_t>(i + 1);
         if (op.vector) {
             auto pkt = Packet::makeVector(cmd, op.line(), pc,
-                                          _eq.curTick(), cpuPool());
+                                          _eq.curTick(), &_pool);
             if (op.write)
                 for (unsigned k = 0; k < lineWords; ++k)
                     pkt->setWord(k, writeValue(_scenario.seed, i, k));
             return pkt;
         }
         auto pkt = Packet::makeScalar(cmd, op.addr, op.orient, pc,
-                                      _eq.curTick(), cpuPool());
+                                      _eq.curTick(), &_pool);
         if (op.write)
             pkt->setWord(0, writeValue(_scenario.seed, i, 0));
         return pkt;
@@ -331,43 +328,39 @@ class DesignRun
     issueBatch(std::size_t first, std::size_t last,
                const std::vector<std::vector<std::uint64_t>> &expect)
     {
-        // std::map so the lost-response diagnostic below picks the
-        // *lowest* outstanding packet id deterministically — with an
-        // unordered map, pending.begin() leaked hash order into the
-        // failure message and the reported repro op index (DET-2).
-        std::map<std::uint64_t, std::size_t> pending;
+        std::vector<std::uint64_t> sent;
         for (std::size_t i = first; i < last; ++i) {
             PacketPtr pkt = makeOp(i);
-            pending.emplace(pkt->id, i);
+            sent.push_back(pkt->id);
             if (!send(std::move(pkt), i))
                 return false;
         }
         if (!runToQuiescence(first))
             return false;
 
+        std::vector<bool> answered(sent.size(), false);
         for (PacketPtr &rsp : _cpu.responses) {
-            auto it = pending.find(rsp->id);
-            if (it == pending.end()) {
+            std::size_t k = answeredOp(sent, answered, rsp->id);
+            if (k == npos) {
                 fail(FailureKind::LostResponse, first,
                      "unexpected response id " +
                          std::to_string(rsp->id));
                 return false;
             }
-            std::size_t i = it->second;
-            pending.erase(it);
-            if (!verifyRead(i, *rsp, expect[i]))
+            if (!verifyRead(first + k, *rsp, expect[first + k]))
                 return false;
         }
         _cpu.responses.clear();
-        if (!pending.empty()) {
-            std::size_t i = pending.begin()->second;
-            fail(FailureKind::LostResponse, i,
-                 "op never received its response (" +
-                     std::to_string(pending.size()) +
-                     " lost in this batch)");
-            return false;
-        }
-        return true;
+        // Report the lowest lost op, so the repro is deterministic.
+        auto lost = std::find(answered.begin(), answered.end(), false);
+        if (lost == answered.end())
+            return true;
+        fail(FailureKind::LostResponse,
+             first + static_cast<std::size_t>(lost - answered.begin()),
+             "op never received its response (" +
+                 std::to_string(std::count(lost, answered.end(), false)) +
+                 " lost in this batch)");
+        return false;
     }
 
     bool
@@ -397,13 +390,6 @@ class DesignRun
             return false;
         }
         return true;
-    }
-
-    /** CPU-side packet source (nullptr when pooling is disabled). */
-    PacketPool *
-    cpuPool()
-    {
-        return _opts.packetPooling ? &_pool : nullptr;
     }
 
     DesignPoint _design;
@@ -473,6 +459,18 @@ writeValue(std::uint64_t seed, std::size_t opIndex, unsigned k)
     return Rng::streamSeed(
         seed ^ 0xda7aULL,
         (static_cast<std::uint64_t>(opIndex) << 3) | k);
+}
+
+std::size_t
+answeredOp(const std::vector<std::uint64_t> &sent,
+           std::vector<bool> &answered, std::uint64_t id)
+{
+    auto k = static_cast<std::size_t>(
+        std::find(sent.begin(), sent.end(), id) - sent.begin());
+    if (k == sent.size() || answered[k])
+        return static_cast<std::size_t>(-1);
+    answered[k] = true;
+    return k;
 }
 
 std::vector<Failure>

@@ -77,12 +77,6 @@ struct OracleOptions
 
     /** Event budget per design run (deadlock/runaway guard). */
     std::uint64_t maxSteps = 50'000'000;
-
-    /** Recycle packets through a per-design-run PacketPool (mirrors
-     *  SystemConfig::packetPooling). Off/on must be indistinguishable
-     *  to every oracle check; the fuzz determinism tests compare
-     *  campaigns both ways. */
-    bool packetPooling = true;
 };
 
 /**
@@ -95,6 +89,12 @@ bool designApplicable(DesignPoint design,
 /** Deterministic payload of write op @p opIndex, word @p k. */
 std::uint64_t writeValue(std::uint64_t seed, std::size_t opIndex,
                          unsigned k);
+
+/** Index in @p sent (a batch's packet ids, in op order) of the op a
+ *  response with packet id @p id answers, marked in @p answered; npos
+ *  when no op went out as @p id or its op was answered already. */
+std::size_t answeredOp(const std::vector<std::uint64_t> &sent,
+                       std::vector<bool> &answered, std::uint64_t id);
 
 /**
  * Run the full differential oracle over @p s. Returns every failure

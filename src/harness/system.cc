@@ -68,12 +68,10 @@ System::System(const SystemConfig &config,
                                       *_levels.front(), cpu_params);
     _levels.front()->setUpstream(_cpu.get());
 
-    if (config.packetPooling) {
-        _cpu->setPacketPool(&_pool);
-        for (auto &cache : _caches)
-            cache->setPacketPool(&_pool);
-        _memory->setPacketPool(&_pool);
-    }
+    _cpu->setPacketPool(&_pool);
+    for (auto &cache : _caches)
+        cache->setPacketPool(&_pool);
+    _memory->setPacketPool(&_pool);
 
     // Every component exposes its packet-lifecycle probe points
     // unconditionally; with no listeners each fire site is a single

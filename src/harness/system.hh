@@ -69,6 +69,12 @@ class System
     /** Packet-lifecycle probe points, by name ("l1.accepted", ...). */
     probe::ProbeManager &probeManager() { return _probes; }
 
+    /** Latency breakdown listener (nullptr without telemetry). */
+    const telemetry::LatencyAccountant *latencyAccountant() const
+    {
+        return _telemetry.get();
+    }
+
     /** Interval-stats JSONL captured during run(); empty string when
      *  SystemConfig::statsInterval is 0. */
     std::string intervalJson() const

@@ -110,12 +110,6 @@ struct SystemConfig
      *  retrieved via System::intervalJson() / --stats-jsonl. */
     Tick statsInterval = 0;
 
-    /** Recycle packet storage through the per-System PacketPool
-     *  instead of heap-allocating each transaction. Pure host-side
-     *  optimization: simulated behavior and stats are identical
-     *  either way (the determinism tests pin this). */
-    bool packetPooling = true;
-
     /**
      * SMARTS-style sampled simulation: of every samplePeriod
      * operations, 2 x sampleWindow are simulated fully timed — a

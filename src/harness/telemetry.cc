@@ -73,30 +73,32 @@ LatencyAccountant::onAccepted(unsigned level,
     // occupancy on the requests around them, not as a lifetime here.
     if (ev.pkt->cmd == MemCmd::Writeback)
         return;
-    Open open;
-    open.level = level;
-    open.issue = ev.pkt->issueTick;
-    open.accept = ev.when;
-    _open[ev.pkt->id] = open;
+    Open &open = _open[*ev.pkt];
+    // Slots recycle only after release, and every accepted request is
+    // responded to first: an open slot means a lost response.
+    mda_assert(!open.live, "packet %llu accepted at %s while still open",
+               (unsigned long long)ev.pkt->id,
+               _levels[level]->name.c_str());
+    open = Open{true, false, level, ev.pkt->issueTick, ev.when, 0};
+    ++_openCount;
 }
 
 void
 LatencyAccountant::onMshrQueued(const probe::PacketEvent &ev)
 {
-    auto it = _open.find(ev.pkt->id);
-    if (it == _open.end())
+    Open &open = _open[*ev.pkt];
+    if (!open.live)
         return;
-    it->second.mshrAt = ev.when;
-    it->second.hasMshr = true;
+    open.mshrAt = ev.when;
+    open.hasMshr = true;
 }
 
 void
 LatencyAccountant::onResponded(const probe::PacketEvent &ev)
 {
-    auto it = _open.find(ev.pkt->id);
-    if (it == _open.end())
+    Open &open = _open[*ev.pkt];
+    if (!open.live)
         return;
-    const Open &open = it->second;
     LevelStats &ls = *_levels[open.level];
     unsigned o = (ev.pkt->orient == Orientation::Col) ? 1 : 0;
 
@@ -113,7 +115,8 @@ LatencyAccountant::onResponded(const probe::PacketEvent &ev)
     ls.dist[o][static_cast<unsigned>(Stage::Mshr)]->sample(mshr);
     ls.dist[o][static_cast<unsigned>(Stage::Deliver)]->sample(deliver);
     ++ls.requests;
-    _open.erase(it);
+    open.live = false;
+    --_openCount;
 }
 
 } // namespace mda::telemetry

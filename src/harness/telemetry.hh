@@ -33,11 +33,11 @@
 #ifndef MDA_HARNESS_TELEMETRY_HH
 #define MDA_HARNESS_TELEMETRY_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/packet_pool.hh"
 #include "sim/probe.hh"
 #include "sim/stats.hh"
 
@@ -79,7 +79,7 @@ class LatencyAccountant
                       const std::vector<std::string> &levels);
 
     /** Requests still open (accepted, not yet responded). */
-    std::size_t openRequests() const { return _open.size(); }
+    std::size_t openRequests() const { return _openCount; }
 
   private:
     /** Per-level stage distributions, split by orientation. */
@@ -94,11 +94,12 @@ class LatencyAccountant
     /** One in-flight request's timeline. */
     struct Open
     {
+        bool live = false;
+        bool hasMshr = false;
         unsigned level = 0;
         Tick issue = 0;
         Tick accept = 0;
         Tick mshrAt = 0;
-        bool hasMshr = false;
     };
 
     void onAccepted(unsigned level, const probe::PacketEvent &ev);
@@ -106,7 +107,8 @@ class LatencyAccountant
     void onResponded(const probe::PacketEvent &ev);
 
     std::vector<std::unique_ptr<LevelStats>> _levels;
-    std::map<std::uint64_t, Open> _open; ///< keyed by packet id
+    SlotTable<Open> _open;
+    std::size_t _openCount = 0;
     std::vector<probe::ProbeListener> _listeners;
 };
 

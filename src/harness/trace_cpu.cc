@@ -69,38 +69,26 @@ TraceCpu::makePacket(const compiler::TraceOp &op)
     }
 
     if (_params.checkData) {
-        if (op.isWrite) {
-            // Unique values, applied to the reference in issue order.
-            if (op.isVector) {
-                OrientedLine line = pkt->line();
-                for (unsigned k = 0; k < lineWords; ++k) {
-                    if (!(op.wordMask & (1u << k)))
-                        continue;
-                    std::uint64_t v = _nextValue++;
-                    pkt->setWord(k, v);
-                    _reference.writeWord(line.wordAddr(k), v);
-                }
-                pkt->wordMask = op.wordMask;
+        // Writes carry unique values, applied to the reference in
+        // issue order; reads snapshot the values they must return.
+        // Packet word k is a vector's masked word k, or a scalar's
+        // only word (k = 0).
+        const OrientedLine line = pkt->line();
+        const unsigned mask = op.isVector ? op.wordMask : 0x01;
+        Expected *expected = op.isWrite ? nullptr : &_expected[*pkt];
+        if (expected)
+            *expected = Expected{true, {}};
+        for (unsigned k = 0; k < lineWords; ++k) {
+            if (!(mask & (1u << k)))
+                continue;
+            Addr addr = op.isVector ? line.wordAddr(k) : pkt->addr;
+            if (expected) {
+                expected->words[k] = _reference.readWord(addr);
             } else {
                 std::uint64_t v = _nextValue++;
-                pkt->setWord(0, v);
-                _reference.writeWord(pkt->addr, v);
+                pkt->setWord(k, v);
+                _reference.writeWord(addr, v);
             }
-        } else {
-            // Snapshot expected read values at issue.
-            std::vector<std::uint64_t> expected;
-            if (op.isVector) {
-                OrientedLine line = pkt->line();
-                for (unsigned k = 0; k < lineWords; ++k) {
-                    expected.push_back(
-                        (op.wordMask & (1u << k))
-                            ? _reference.readWord(line.wordAddr(k))
-                            : 0);
-                }
-            } else {
-                expected.push_back(_reference.readWord(pkt->addr));
-            }
-            _expected.emplace(pkt->id, std::move(expected));
         }
     }
     return pkt;
@@ -167,19 +155,9 @@ TraceCpu::issue()
         // reference updates are applied exactly once.
         PacketPtr pkt = _blockedPkt ? std::move(_blockedPkt)
                                     : makePacket(_pendingOp);
-        // tryRequest consumes the packet, so anything the observers
-        // need is copied out first — only while they are watching.
-        const bool observed = MDA_OBSERVED();
-        std::uint64_t pkt_id = 0;
-        MemCmd pkt_cmd = MemCmd::Read;
-        Addr pkt_addr = 0;
-        if (MDA_UNLIKELY(observed)) {
-            pkt_id = pkt->id;
-            pkt_cmd = pkt->cmd;
-            pkt_addr = pkt->addr;
-        }
         // Accepted packets survive inside the L1's scheduled lookup,
-        // so a pointer captured here stays valid for the probe below.
+        // so a pointer captured here stays valid for the observers
+        // below.
         const Packet *sent = pkt.get();
         if (!_l1.tryRequest(pkt)) {
             ++_stallRetry;
@@ -189,14 +167,14 @@ TraceCpu::issue()
         }
         MDA_PROBE(_probes.issued,
                   probe::PacketEvent{sent, curTick(), 0});
-        if (MDA_UNLIKELY(observed)) {
+        if (MDA_OBSERVED()) {
             DPRINTF(TraceCpu,
                     "issue %s %#llx id %llu (%u outstanding)",
-                    cmdName(pkt_cmd), (unsigned long long)pkt_addr,
-                    (unsigned long long)pkt_id, _outstanding + 1);
+                    cmdName(sent->cmd), (unsigned long long)sent->addr,
+                    (unsigned long long)sent->id, _outstanding + 1);
             if (trace::on()) {
-                trace::log().asyncBegin(name(), cmdName(pkt_cmd),
-                                        pkt_id, curTick());
+                trace::log().asyncBegin(name(), cmdName(sent->cmd),
+                                        sent->id, curTick());
             }
         }
         ++_ops;
@@ -242,30 +220,20 @@ TraceCpu::recvResponse(PacketPtr pkt)
         static_cast<double>(curTick() - pkt->issueTick));
 
     if (_params.checkData && pkt->cmd == MemCmd::Read) {
-        auto it = _expected.find(pkt->id);
-        mda_assert(it != _expected.end(), "unexpected read response");
-        const auto &expected = it->second;
-        if (pkt->isLine()) {
-            for (unsigned k = 0; k < lineWords; ++k) {
-                if (!(pkt->wordMask & (1u << k)))
-                    continue;
-                if (pkt->word(k) != expected[k]) {
-                    ++_checkFailures;
-                    warn("data mismatch at %#llx word %u: got %llu "
-                         "want %llu",
-                         (unsigned long long)pkt->addr, k,
-                         (unsigned long long)pkt->word(k),
-                         (unsigned long long)expected[k]);
-                }
-            }
-        } else if (pkt->word(0) != expected[0]) {
+        Expected &expected = _expected[*pkt];
+        mda_assert(expected.live,
+                   "read response with no live checker entry");
+        expected.live = false;
+        const unsigned mask = pkt->isLine() ? pkt->wordMask : 0x01;
+        for (unsigned k = 0; k < lineWords; ++k) {
+            if (!(mask & (1u << k)) || pkt->word(k) == expected.words[k])
+                continue;
             ++_checkFailures;
-            warn("data mismatch at %#llx: got %llu want %llu",
-                 (unsigned long long)pkt->addr,
-                 (unsigned long long)pkt->word(0),
-                 (unsigned long long)expected[0]);
+            warn("data mismatch at %#llx word %u: got %llu want %llu",
+                 (unsigned long long)pkt->addr, k,
+                 (unsigned long long)pkt->word(k),
+                 (unsigned long long)expected.words[k]);
         }
-        _expected.erase(it);
     }
 
     if (_traceDone && _outstanding == 0) {

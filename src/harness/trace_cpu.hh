@@ -19,11 +19,11 @@
 #ifndef MDA_HARNESS_TRACE_CPU_HH
 #define MDA_HARNESS_TRACE_CPU_HH
 
+#include <array>
 #include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "mem/backing_store.hh"
+#include "sim/packet_pool.hh"
 #include "sim/port.hh"
 #include "sim/probe.hh"
 #include "sim/sim_object.hh"
@@ -139,12 +139,16 @@ class TraceCpu : public SimObject, public MemClient
     std::uint64_t _hookAt = ~std::uint64_t{0};
     std::function<void()> _budgetHook;
 
+    /** A checked read's expected values, snapshot at issue. */
+    struct Expected
+    {
+        bool live = false;
+        std::array<std::uint64_t, lineWords> words{};
+    };
+
     /** Reference model + per-packet expected read values. */
     BackingStore _reference;
-    // MDA_LINT_ALLOW(DET-2): keyed emplace/find/erase by packet id
-    // only, never iterated — hot checker-mode lookup per response.
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        _expected;
+    SlotTable<Expected> _expected;
 
     stats::Scalar _ops, _vectorOps, _readOps, _writeOps;
     stats::Scalar _colOps;

@@ -104,7 +104,8 @@ class Packet
      *  training key); 0 for hardware-generated packets. */
     std::uint32_t pc = 0;
 
-    /** Monotonic id, assigned at construction, for ordering/debug. */
+    /** Process-unique id, assigned at construction, for trace-event
+     *  async ids and debug labels. Increasing within one thread. */
     std::uint64_t id = 0;
 
     /** Tick at which the original requester issued the packet. */
@@ -122,6 +123,11 @@ class Packet
 
     /** The data, in line word order (see file comment). */
     std::array<std::uint8_t, lineBytes> payload{};
+
+    /** Dense index of this packet's storage in its pool, kept across
+     *  recycling; side tables index by it (SlotTable). Set only with
+     *  @ref pool, and never read by simulation logic. */
+    std::uint32_t slot = 0;
 
     /** Owning pool, if pool-allocated; the deleter recycles into it
      *  instead of freeing. Never read by simulation logic. */
@@ -249,12 +255,18 @@ class Packet
     static std::uint64_t
     nextId()
     {
-        // Shared across all systems in the process: parallel sweeps
-        // allocate packets from many threads, so the counter must be
-        // atomic. Ids only need uniqueness (trace/debug labels), not
-        // density, so relaxed ordering suffices.
-        static std::atomic<std::uint64_t> counter{0};
-        return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+        // Process-unique, not dense: each thread reserves a block of
+        // ids from the shared counter and hands them out privately, so
+        // allocating a packet writes nothing another thread touches.
+        // One thread alone still sees 1, 2, 3, ...
+        static constexpr std::uint64_t idBlock = 4096;
+        static std::atomic<std::uint64_t> reserved{0};
+        thread_local std::uint64_t next = 0, end = 0;
+        if (next == end) {
+            next = reserved.fetch_add(idBlock, std::memory_order_relaxed);
+            end = next + idBlock;
+        }
+        return ++next;
     }
 };
 

@@ -12,8 +12,8 @@
  * which is itself fully determined by the event sequence — never by
  * packet addresses, which vary run to run (ASLR, allocator state).
  * Recycled packets are re-constructed in place, so a reused packet is
- * indistinguishable from a heap-fresh one (zeroed payload, fresh id)
- * and pooling on/off cannot change simulated behavior.
+ * indistinguishable from a heap-fresh one (zeroed payload, fresh id);
+ * only its dense slot index (Packet::slot, see SlotTable) carries over.
  *
  * Pools are per-System and single-threaded, like the EventQueue; a
  * parallel sweep gives each simulation its own pool.
@@ -58,8 +58,11 @@ class PacketPool
             pkt = _free.back();
             _free.pop_back();
             // Re-construct in place: zeroed payload, fresh id —
-            // indistinguishable from a heap-fresh packet.
+            // indistinguishable from a heap-fresh packet. Only the
+            // storage's slot index carries over.
+            const std::uint32_t slot = pkt->slot;
             pkt = ::new (static_cast<void *>(pkt)) Packet();
+            pkt->slot = slot;
             ++_recycled;
         } else {
             if (_usedInSlab == slabPackets) {
@@ -70,7 +73,7 @@ class PacketPool
                          _usedInSlab * sizeof(Packet);
             ++_usedInSlab;
             pkt = ::new (slot) Packet();
-            ++_allocated;
+            pkt->slot = static_cast<std::uint32_t>(_allocated++);
         }
         pkt->pool = this;
         return PacketPtr(pkt);
@@ -89,7 +92,7 @@ class PacketPool
         _free.push_back(pkt);
     }
 
-    /** Slots handed out that were never pool-recycled. */
+    /** Slots carved so far; every Packet::slot is below this. */
     std::uint64_t allocated() const { return _allocated; }
 
     /** Allocations served from the free list. */
@@ -133,6 +136,31 @@ class PacketPool
 
     std::uint64_t _allocated = 0;
     std::uint64_t _recycled = 0;
+};
+
+/**
+ * Side state per packet of one pool, indexed by Packet::slot: a flat
+ * array that grows a slab at a time as the pool carves slots. Entries
+ * outlive their packets, so @p T carries its own live flag.
+ */
+template <typename T>
+class SlotTable
+{
+  public:
+    T &
+    operator[](const Packet &pkt)
+    {
+        mda_assert(pkt.pool, "packet %llu has no pool slot",
+                   (unsigned long long)pkt.id);
+        if (pkt.slot >= _entries.size()) {
+            _entries.resize((pkt.slot / PacketPool::slabPackets + 1) *
+                            PacketPool::slabPackets);
+        }
+        return _entries[pkt.slot];
+    }
+
+  private:
+    std::vector<T> _entries;
 };
 
 } // namespace mda

@@ -56,6 +56,22 @@ TEST(Oracle, BaselineApplicabilityTracksColumnVectors)
     EXPECT_TRUE(designApplicable(DesignPoint::D2_2P2L, s.trace));
 }
 
+TEST(Oracle, ResponsesAnswerOpsByPacketIdOnce)
+{
+    // A batch's three ops went out as packets 7, 9 and 12. A response
+    // answers the op sent with its id; issueBatch reports anything
+    // else (npos) as a lost response. A same-line fill carries its
+    // demand's pc but its own id, so it answers nothing.
+    const std::vector<std::uint64_t> sent{7, 9, 12};
+    std::vector<bool> answered(sent.size(), false);
+    constexpr auto npos = static_cast<std::size_t>(-1);
+    EXPECT_EQ(answeredOp(sent, answered, 12), 2u);
+    EXPECT_EQ(answeredOp(sent, answered, 8), npos);  // foreign id
+    EXPECT_EQ(answeredOp(sent, answered, 12), npos); // duplicate
+    EXPECT_EQ(answeredOp(sent, answered, 7), 0u);
+    EXPECT_EQ(answered, (std::vector<bool>{true, false, true}));
+}
+
 TEST(OracleDeathTest, DeferredDesign3IsRejected)
 {
     Scenario s = generateScenario(1, smallLimits());

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "harness/runner.hh"
 
 namespace mda
@@ -54,9 +56,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * Packet pooling is a pure allocation strategy: turning it off must
- * not move a single statistic. Any divergence means pool state leaked
- * into simulated behavior (stale payload, address-ordered free list).
+ * Packet pooling is a pure allocation strategy: what the pool held
+ * before a run must not move a single statistic. One run starts from
+ * a fresh pool, the other from a pool whose free list was churned —
+ * slots handed out, scribbled on and released out of order. Any
+ * divergence means pool state leaked into simulated behavior (stale
+ * payload, free-list order, slot numbering). Checker and telemetry
+ * are on so their slot-indexed tables see the reordered slots too.
  */
 TEST(Determinism, PacketPoolingDoesNotChangeStats)
 {
@@ -64,24 +70,41 @@ TEST(Determinism, PacketPoolingDoesNotChangeStats)
     spec.workload = "htap1";
     spec.n = 32;
     spec.system.design = DesignPoint::D1_1P2L;
+    spec.system.checkData = true;
+    spec.system.telemetry = true;
 
-    RunSpec no_pool = spec;
-    no_pool.system.packetPooling = false;
+    PreparedRun fresh(spec);
+    auto rf = fresh.system.run();
 
-    PreparedRun pooled(spec);
-    auto rp = pooled.system.run();
-    PreparedRun heap(no_pool);
-    auto rh = heap.system.run();
+    PreparedRun churned(spec);
+    {
+        constexpr int held_count = 300;
+        std::vector<PacketPtr> held;
+        for (int i = 0; i < held_count; ++i) {
+            held.push_back(churned.system.packetPool().alloc());
+            held.back()->cmd = MemCmd::Write;
+            held.back()->addr = 0x1000 + 64 * i;
+            held.back()->wordMask = 0xff;
+            held.back()->payload.fill(0xa5);
+            held.back()->extraLatency = 17;
+            held.back()->isPrefetch = true;
+            held.back()->isResponse = true;
+        }
+        // 7 is coprime to held_count: every packet is released once.
+        for (int i = 0; i < held_count; ++i)
+            held[(7 * i) % held_count].reset();
+    }
+    auto rc = churned.system.run();
 
-    EXPECT_EQ(rp.cycles, rh.cycles);
-    EXPECT_EQ(rp.ops, rh.ops);
-    EXPECT_EQ(rp.llcAccesses, rh.llcAccesses);
-    EXPECT_EQ(rp.memBytes, rh.memBytes);
+    EXPECT_EQ(rf.cycles, rc.cycles);
+    EXPECT_EQ(rf.ops, rc.ops);
+    EXPECT_EQ(rf.llcAccesses, rc.llcAccesses);
+    EXPECT_EQ(rf.memBytes, rc.memBytes);
 
-    auto names = pooled.system.statGroup().scalarNames();
+    auto names = fresh.system.statGroup().scalarNames();
     for (const auto &name : names) {
-        EXPECT_DOUBLE_EQ(pooled.system.statGroup().scalar(name),
-                         heap.system.statGroup().scalar(name))
+        EXPECT_DOUBLE_EQ(fresh.system.statGroup().scalar(name),
+                         churned.system.statGroup().scalar(name))
             << name;
     }
 }

@@ -33,7 +33,10 @@ namespace
 
 struct Scenario
 {
-    const char *workload;
+    /** Held inline, not as a pointer: gtest prints the parameter's
+     *  raw bytes into each test's listed name, and a string-literal
+     *  address would change that name with every (ASLR) launch. */
+    char workload[8];
     std::int64_t n;
     std::uint64_t period;
     std::uint64_t window;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "harness/runner.hh"
+#include "sim/packet_pool.hh"
 
 namespace mda
 {
@@ -144,6 +145,82 @@ TEST(Telemetry, RepeatedRunsAreIdentical)
                 << level << "." << stage;
         }
     }
+}
+
+/**
+ * The accountant's open-request table is indexed by pool slot, and
+ * slots churn hardest on larger runs with prefetching or tile LLCs:
+ * every request must still be attributed to the level that served it,
+ * and every slot must be closed by the end of the run.
+ */
+class TelemetrySlotChurn : public ::testing::TestWithParam<DesignPoint>
+{};
+
+TEST_P(TelemetrySlotChurn, AccountsEveryRequestAndClosesEverySlot)
+{
+    RunSpec spec;
+    spec.workload = "ssyrk";
+    spec.n = 64;
+    spec.system.design = GetParam(); // 1P1L runs the stride prefetcher
+    spec.system.telemetry = true;
+    PreparedRun run(spec);
+    run.system.run();
+    const auto &sg = run.system.statGroup();
+
+    const auto &e2e = sg.distribution("cpu.loadLatency");
+    ASSERT_GT(e2e.count(), 0u);
+    double stage_sum = 0.0;
+    for (const char *stage : {"queue", "lookup", "mshr", "deliver"})
+        stage_sum += stageTotals(sg, "l1", stage).first;
+    EXPECT_DOUBLE_EQ(stage_sum, e2e.sum());
+
+    // Each level serves exactly the demands it accepted, and those
+    // are the fills the level above received (memory: its reads).
+    EXPECT_DOUBLE_EQ(sg.scalar("telemetry.l1.requests"),
+                     sg.scalar("cpu.ops"));
+    for (const std::string level : {"l1", "l2", "l3"}) {
+        EXPECT_DOUBLE_EQ(sg.scalar("telemetry." + level + ".requests"),
+                         sg.scalar(level + ".demandAccesses"))
+            << level;
+    }
+    EXPECT_DOUBLE_EQ(sg.scalar("telemetry.l2.requests"),
+                     sg.scalar("l1.fills"));
+    EXPECT_DOUBLE_EQ(sg.scalar("telemetry.l3.requests"),
+                     sg.scalar("l2.fills"));
+    EXPECT_DOUBLE_EQ(sg.scalar("telemetry.mem.requests"),
+                     sg.scalar("l3.fills"));
+    EXPECT_DOUBLE_EQ(sg.scalar("telemetry.mem.requests"),
+                     sg.scalar("mem.readReqs"));
+    for (const std::string level : {"l1", "l2", "l3", "mem"}) {
+        double requests = sg.scalar("telemetry." + level + ".requests");
+        EXPECT_GT(requests, 0.0) << level;
+        EXPECT_DOUBLE_EQ(stageTotals(sg, level, "queue").second,
+                         requests)
+            << level;
+    }
+
+    ASSERT_NE(run.system.latencyAccountant(), nullptr);
+    EXPECT_EQ(run.system.latencyAccountant()->openRequests(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, TelemetrySlotChurn,
+    ::testing::Values(DesignPoint::D0_1P1L,
+                      DesignPoint::D1_1P2L_SameSet,
+                      DesignPoint::D2_2P2L),
+    [](const auto &test) { return std::string(designName(test.param)); });
+
+TEST(TelemetryDeathTest, ReopeningAnOpenSlotPanics)
+{
+    PreparedRun run(telemetrySpec(true));
+    auto *accepted = run.system.probeManager()
+                         .findTyped<probe::PacketEvent>("l1.accepted");
+    ASSERT_NE(accepted, nullptr);
+    auto pkt = Packet::makeScalar(MemCmd::Read, 0, Orientation::Row, 0,
+                                  0, &run.system.packetPool());
+    accepted->fire(probe::PacketEvent{pkt.get(), 0, 0});
+    EXPECT_DEATH(accepted->fire(probe::PacketEvent{pkt.get(), 1, 0}),
+                 "still open");
 }
 
 TEST(Telemetry, ProbesRegisteredForEveryComponent)

@@ -5,6 +5,7 @@
 #include "compiler/compile.hh"
 #include "harness/trace_cpu.hh"
 #include "mem/mda_memory.hh"
+#include "sim/packet_pool.hh"
 #include "trace/trace_source.hh"
 
 namespace mda
@@ -46,8 +47,13 @@ struct CpuRig
           cpu("cpu", eq, sg, gen, mem, params)
     {
         mem.setUpstream(&cpu);
+        // The checker keys its expectations by pool slot, as in a
+        // System, so the CPU allocates from a pool.
+        cpu.setPacketPool(&pool);
     }
 
+    /** Declared first so in-flight packets die before the slabs. */
+    PacketPool pool;
     EventQueue eq;
     stats::StatGroup sg;
     trace::GeneratorSource gen;
@@ -148,6 +154,22 @@ TEST(TraceCpu, BackpressureRetryPreservesChecker)
     EXPECT_TRUE(rig.cpu.done());
     EXPECT_EQ(rig.cpu.checkFailures(), 0u);
     EXPECT_EQ(rig.sg.scalar("cpu.ops"), 2000.0);
+}
+
+TEST(TraceCpuDeathTest, ReadResponseWithoutCheckerEntryPanics)
+{
+    auto ck = scalarStream(8);
+    CpuParams params;
+    params.checkData = true;
+    CpuRig rig(ck, params);
+    rig.cpu.start();
+    ASSERT_TRUE(rig.eq.step()); // first read issued, now in memory
+    // A read the CPU never issued: its pool slot has no expectation.
+    auto stray = Packet::makeScalar(MemCmd::Read, 0, Orientation::Row,
+                                    0, 0, &rig.pool);
+    stray->makeResponse();
+    EXPECT_DEATH(rig.cpu.recvResponse(std::move(stray)),
+                 "no live checker entry");
 }
 
 } // namespace

@@ -5,12 +5,18 @@
  * The pool's determinism contract: a recycled packet must be
  * indistinguishable from a heap-fresh one (zeroed payload, fresh id),
  * and the free list must be ordered by release order only — never by
- * address — so pooling on/off cannot perturb simulated behavior.
+ * address — so recycling cannot perturb simulated behavior. Slot
+ * indices are dense and survive recycling; ids are process-unique
+ * even when pools on different threads allocate at once.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "sim/packet.hh"
@@ -114,6 +120,91 @@ TEST(PacketPool, GrowsBeyondOneSlab)
 
     live.clear();
     EXPECT_EQ(pool.freeCount(), count);
+}
+
+TEST(PacketPool, SlotsAreDenseAndSurviveRecycling)
+{
+    PacketPool pool;
+    constexpr std::size_t count = PacketPool::slabPackets + 3;
+    std::vector<PacketPtr> live;
+    for (std::size_t i = 0; i < count; ++i) {
+        live.push_back(Packet::makeScalar(MemCmd::Read, 0,
+                                          Orientation::Row, 0, 0,
+                                          &pool));
+        EXPECT_EQ(live.back()->slot, i); // carved in order, from 0
+    }
+
+    // Recycled storage keeps its slot, whatever the release order.
+    std::vector<const Packet *> storage;
+    std::vector<std::uint32_t> slots;
+    for (const PacketPtr &pkt : live) {
+        storage.push_back(pkt.get());
+        slots.push_back(pkt->slot);
+    }
+    std::reverse(live.begin(), live.end());
+    live.resize(count / 2); // release the lower half of the slots
+    for (std::size_t i = 0; i < count - count / 2; ++i) {
+        auto again = Packet::makeScalar(MemCmd::Read, 0,
+                                        Orientation::Row, 0, 0, &pool);
+        auto at =
+            std::find(storage.begin(), storage.end(), again.get());
+        ASSERT_NE(at, storage.end());
+        EXPECT_EQ(again->slot, slots[at - storage.begin()]);
+        EXPECT_LT(again->slot, pool.allocated());
+        live.push_back(std::move(again));
+    }
+    EXPECT_EQ(pool.allocated(), count);
+}
+
+TEST(PacketPool, IdsAreUniqueAcrossRecycles)
+{
+    PacketPool pool;
+    std::set<std::uint64_t> ids;
+    for (int round = 0; round < 4; ++round) {
+        std::vector<PacketPtr> live;
+        for (int i = 0; i < 100; ++i) {
+            live.push_back(Packet::makeScalar(MemCmd::Read, 0,
+                                              Orientation::Row, 0, 0,
+                                              &pool));
+            EXPECT_TRUE(ids.insert(live.back()->id).second);
+        }
+    }
+    EXPECT_EQ(pool.allocated(), 100u);
+    EXPECT_EQ(pool.recycled(), 300u);
+}
+
+TEST(PacketPool, IdsAreUniqueAcrossConcurrentPools)
+{
+    // Two pools on two threads, as in a parallel sweep: each keeps a
+    // small working set and recycles it, so ids are drawn from both
+    // threads throughout. Under ThreadSanitizer this also checks that
+    // the allocation path shares nothing unsynchronized.
+    constexpr int perThread = 20000;
+    std::vector<std::uint64_t> ids[2];
+    auto churn = [](std::vector<std::uint64_t> &out) {
+        PacketPool pool;
+        std::vector<PacketPtr> live(8);
+        for (int i = 0; i < perThread; ++i) {
+            PacketPtr &pkt = live[i % live.size()];
+            pkt = Packet::makeScalar(MemCmd::Read, 0, Orientation::Row,
+                                     0, 0, &pool);
+            out.push_back(pkt->id);
+        }
+    };
+    std::thread a(churn, std::ref(ids[0]));
+    std::thread b(churn, std::ref(ids[1]));
+    a.join();
+    b.join();
+
+    std::set<std::uint64_t> all;
+    for (const auto &thread_ids : ids) {
+        ASSERT_EQ(thread_ids.size(), std::size_t{perThread});
+        // Within a thread, ids still increase.
+        EXPECT_TRUE(
+            std::is_sorted(thread_ids.begin(), thread_ids.end()));
+        all.insert(thread_ids.begin(), thread_ids.end());
+    }
+    EXPECT_EQ(all.size(), std::size_t{2 * perThread});
 }
 
 TEST(PacketPoolDeathTest, ReleaseToWrongPoolPanics)
