@@ -21,11 +21,12 @@
  *
  * Figure sweeps are embarrassingly parallel: benches enumerate every
  * cell up front, CellRunner::warm() executes them across a
- * sweep::Executor pool, and the reporting loops then read the warmed
- * cache. Results and --stats-json bytes are identical for any job
- * count (cells are independently seeded; the JSON archive is
- * key-sorted). Tracing (--debug-flags, MDA_DEBUG_FLAGS) writes to
- * process-wide sinks and therefore forces --jobs 1.
+ * sweep::Executor pool (longest operation stream first), and the
+ * reporting loops then read the warmed cache. Results and
+ * --stats-json bytes are identical for any job count (cells are
+ * independently seeded; the JSON archive is key-sorted). Tracing
+ * (--debug-flags, MDA_DEBUG_FLAGS) writes to process-wide sinks and
+ * therefore forces --jobs 1.
  */
 
 #ifndef MDA_BENCH_BENCH_COMMON_HH
@@ -115,7 +116,7 @@ struct BenchOptions
             } else if (arg == "--n") {
                 opts.n = std::atoll(next());
             } else if (arg == "--jobs") {
-                opts.jobs = static_cast<unsigned>(std::atoi(next()));
+                opts.jobs = sweep::parseJobs("--jobs", next());
                 jobs_given = true;
             } else if (arg == "--stats-json") {
                 opts.statsJsonPath = next();
@@ -252,52 +253,44 @@ struct BenchOptions
  *  executed cell is archived on destruction as a JSON object keyed by
  *  the cell's configuration string. The archive map is key-sorted and
  *  its inserts are mutex-guarded, so the emitted file is
- *  byte-identical for every --jobs value. */
+ *  byte-identical for every --jobs value. The --stats-json and
+ *  --stats-jsonl files are opened at construction, so an unwritable
+ *  path is fatal before any cell runs. */
 class CellRunner
 {
   public:
     CellRunner() = default;
 
     explicit CellRunner(const BenchOptions &opts)
-        : CellRunner(opts.statsJsonPath, opts.jobs)
-    {
-        _statsJsonlPath = opts.statsJsonlPath;
-    }
-
-    CellRunner(std::string stats_json_path, unsigned jobs)
-        : _statsJsonPath(std::move(stats_json_path)), _jobs(jobs)
+        : CellRunner(opts.statsJsonPath, opts.jobs, opts.statsJsonlPath)
     {}
+
+    CellRunner(const std::string &stats_json_path, unsigned jobs,
+               const std::string &stats_jsonl_path = "")
+        : _jobs(jobs)
+    {
+        openOutput(_statsJson, stats_json_path, "stats JSON");
+        openOutput(_statsJsonl, stats_jsonl_path, "stats JSONL");
+    }
 
     ~CellRunner()
     {
-        if (!_statsJsonPath.empty()) {
-            std::ofstream os(_statsJsonPath);
-            if (!os) {
-                std::cerr << "cannot write stats JSON: "
-                          << _statsJsonPath << '\n';
-            } else {
-                os << "{";
-                bool first = true;
-                for (const auto &[key, json] : _cellJson) {
-                    os << (first ? "\n" : ",\n") << "\"" << key
-                       << "\": " << json;
-                    first = false;
-                }
-                os << "}\n";
+        if (_statsJson.is_open()) {
+            _statsJson << "{";
+            bool first = true;
+            for (const auto &[key, json] : _cellJson) {
+                _statsJson << (first ? "\n" : ",\n") << "\"" << key
+                           << "\": " << json;
+                first = false;
             }
+            _statsJson << "}\n";
         }
-        if (!_statsJsonlPath.empty()) {
-            std::ofstream os(_statsJsonlPath);
-            if (!os) {
-                std::cerr << "cannot write stats JSONL: "
-                          << _statsJsonlPath << '\n';
-            } else {
-                // Key-sorted concatenation of the per-cell streams
-                // (each stream's header names its scenario), so the
-                // file is byte-identical for every --jobs value.
-                for (const auto &[key, jsonl] : _cellJsonl)
-                    os << jsonl;
-            }
+        if (_statsJsonl.is_open()) {
+            // Key-sorted concatenation of the per-cell streams (each
+            // stream's header names its scenario), so the file is
+            // byte-identical for every --jobs value.
+            for (const auto &[key, jsonl] : _cellJsonl)
+                _statsJsonl << jsonl;
         }
     }
 
@@ -347,20 +340,18 @@ class CellRunner
     void
     warm(const std::vector<RunSpec> &specs)
     {
-        std::vector<const RunSpec *> todo;
+        std::vector<RunSpec> todo;
         std::set<std::string> scheduled;
         for (const auto &spec : specs) {
             std::string key = cellKey(spec);
             if (_cache.count(key) || !scheduled.insert(key).second)
                 continue;
-            todo.push_back(&spec);
+            todo.push_back(spec);
         }
         if (todo.empty())
             return;
         sweep::Executor pool(_jobs);
-        pool.forEach(todo.size(), [&](std::size_t idx) {
-            runCell(*todo[idx]);
-        });
+        pool.forEach(todo, [&](std::size_t idx) { runCell(todo[idx]); });
     }
 
     RunResult
@@ -383,13 +374,13 @@ class CellRunner
         RunResult result;
         std::string json;
         std::string jsonl;
-        if (_statsJsonPath.empty() && _statsJsonlPath.empty()) {
+        if (!_statsJson.is_open() && !_statsJsonl.is_open()) {
             result = runOne(spec);
         } else {
             PreparedRun run(spec);
             run.system.statGroup().setMeta("scenario", key);
             result = run.system.run();
-            if (!_statsJsonPath.empty()) {
+            if (_statsJson.is_open()) {
                 std::ostringstream cell;
                 cell << "{\"result\": {"
                      << "\"cycles\": " << result.cycles
@@ -414,10 +405,23 @@ class CellRunner
         return result;
     }
 
+    /** Open @p path for writing, unless it is empty; fatal if that
+     *  fails. */
+    static void
+    openOutput(std::ofstream &os, const std::string &path,
+               const char *what)
+    {
+        if (path.empty())
+            return;
+        os.open(path);
+        if (!os)
+            fatal("cannot write %s: %s", what, path.c_str());
+    }
+
     std::mutex _mutex;
     std::map<std::string, RunResult> _cache;
-    std::string _statsJsonPath;
-    std::string _statsJsonlPath;
+    std::ofstream _statsJson;
+    std::ofstream _statsJsonl;
     unsigned _jobs = 0;
     std::map<std::string, std::string> _cellJson;
     std::map<std::string, std::string> _cellJsonl;

@@ -141,7 +141,7 @@ main(int argc, char **argv)
         } else if (arg == "--all") {
             all = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next()));
+            jobs = sweep::parseJobs("--jobs", next());
             jobs_given = true;
         } else if (arg == "--design") {
             spec.system.design = parseDesign(next());
@@ -213,6 +213,9 @@ main(int argc, char **argv)
     std::vector<std::string> list =
         all ? workloads::workloadNames()
             : std::vector<std::string>{spec.workload};
+    std::vector<RunSpec> specs(list.size(), spec);
+    for (std::size_t idx = 0; idx < list.size(); ++idx)
+        specs[idx].workload = list[idx];
 
     // Tracing and debug flags record into process-wide sinks, so a
     // traced sweep is restricted to one worker: refuse an explicit
@@ -241,19 +244,18 @@ main(int argc, char **argv)
     if (!stats_jsonl_path.empty() && spec.system.statsInterval == 0)
         fatal("--stats-jsonl requires --stats-interval");
 
-    // Run the sweep across the pool, keeping each prepared system
-    // until its stats are emitted; all output is written afterwards
-    // in workload order, so it is identical for every job count.
-    std::vector<std::unique_ptr<PreparedRun>> runs(list.size());
-    std::vector<RunResult> results(list.size());
+    // Run the sweep across the pool (longest stream first), keeping
+    // each prepared system until its stats are emitted; all output is
+    // written afterwards in workload order, so it is identical for
+    // every job count.
+    std::vector<std::unique_ptr<PreparedRun>> runs(specs.size());
+    std::vector<RunResult> results(specs.size());
     {
         sweep::Executor pool(jobs);
-        pool.forEach(list.size(), [&](std::size_t idx) {
-            RunSpec one = spec;
-            one.workload = list[idx];
-            runs[idx] = std::make_unique<PreparedRun>(one);
+        pool.forEach(specs, [&](std::size_t idx) {
+            runs[idx] = std::make_unique<PreparedRun>(specs[idx]);
             runs[idx]->system.statGroup().setMeta("scenario",
-                                                  one.workload);
+                                                  specs[idx].workload);
             results[idx] = runs[idx]->system.run();
         });
     }

@@ -98,6 +98,53 @@ TraceGenerator::reset()
     _done = _plans.empty();
 }
 
+std::uint64_t
+TraceGenerator::sizeHint() const
+{
+    std::vector<std::int64_t> vals(_vals.size(), 0);
+    std::uint64_t ops = 0;
+    for (const auto &plan : _plans)
+        ops += loopSizeHint(plan, 0, vals);
+    return ops;
+}
+
+/** Ops one entry into loop @p depth emits: refill()'s walk, with each
+ *  statement reference counted as one op. */
+std::uint64_t
+TraceGenerator::loopSizeHint(const NestPlan &plan, unsigned depth,
+                             std::vector<std::int64_t> &vals) const
+{
+    const LoopNest &nest = *plan.nest;
+    const Loop &loop = nest.loops[depth];
+    std::uint64_t refs = 0;
+    for (const auto *at : {&plan.preAt[depth], &plan.postAt[depth]})
+        for (unsigned idx : *at)
+            refs += plan.stmts[idx].refs.size();
+
+    std::int64_t lo = loop.values ? 0 : loop.lower.eval(vals);
+    std::int64_t hi = loop.values
+                          ? static_cast<std::int64_t>(loop.values->size())
+                          : loop.upper.eval(vals);
+    if (lo >= hi)
+        return 0;
+    auto trips = static_cast<std::uint64_t>(hi - lo);
+
+    if (depth + 1 == nest.loops.size()) {
+        // The innermost loop steps by 8 while a full group fits, then
+        // runs the remainder one element at a time.
+        if (plan.innerVectorized && !loop.values)
+            trips = trips / VectorPlan::width + trips % VectorPlan::width;
+        return trips * refs;
+    }
+    std::uint64_t ops = trips * refs;
+    for (std::int64_t v = lo; v < hi; ++v) {
+        vals[loop.id] =
+            loop.values ? (*loop.values)[static_cast<std::size_t>(v)] : v;
+        ops += loopSizeHint(plan, depth + 1, vals);
+    }
+    return ops;
+}
+
 std::int64_t
 TraceGenerator::loopLower(const Loop &loop) const
 {

@@ -49,6 +49,15 @@ class TraceGenerator
     /** Operations handed out so far. */
     std::uint64_t opsEmitted() const { return _emitted; }
 
+    /**
+     * Ops in the whole stream, counting each 8-wide vector group once
+     * (see trace::TraceSource::sizeHint). Walks every loop but the
+     * innermost, whose trip count and vector groups are computed
+     * directly, so the cost grows with the outer iteration space, not
+     * with the ops.
+     */
+    std::uint64_t sizeHint() const;
+
   private:
     /** Pre-resolved, flat view of one reference (hot-path friendly). */
     struct RefPlan
@@ -99,6 +108,8 @@ class TraceGenerator
     };
 
     void buildPlans();
+    std::uint64_t loopSizeHint(const NestPlan &plan, unsigned depth,
+                               std::vector<std::int64_t> &vals) const;
     bool refill();
     void emitStmt(const StmtPlan &stmt, unsigned width);
     void emitScalarRef(const RefPlan &ref);

@@ -25,38 +25,43 @@ maybeCompile(const RunSpec &spec)
         spec.system.compileOptions());
 }
 
+/** The spec's trace file within its capture/replay directory. */
+std::string
+tracePath(const RunSpec &spec)
+{
+    const SystemConfig &cfg = spec.system;
+    if (cfg.traceDir.empty())
+        fatal("trace capture/replay requires a trace directory");
+    return cfg.traceDir + "/" +
+           trace::traceFileName(spec.workload, spec.n, spec.seed,
+                                cfg.compileOptions());
+}
+
+/** The spec's operation stream without the capture tee: replayed
+ *  from its trace file, generated from @p kernel, or synthesized by
+ *  a direct emitter. */
+std::unique_ptr<trace::TraceSource>
+makeSource(const RunSpec &spec,
+           const std::optional<compiler::CompiledKernel> &kernel)
+{
+    if (spec.system.traceMode == TraceMode::Replay)
+        return std::make_unique<trace::ReplaySource>(tracePath(spec));
+    if (kernel)
+        return std::make_unique<trace::GeneratorSource>(*kernel);
+    return workloads::makeEmitterSource(
+        spec.workload, PreparedRun::workloadParams(spec),
+        spec.system.compileOptions());
+}
+
 std::unique_ptr<System>
 buildSystem(const RunSpec &spec,
             const std::optional<compiler::CompiledKernel> &kernel)
 {
     const SystemConfig &cfg = spec.system;
-
-    std::string trace_path;
-    if (cfg.traceMode != TraceMode::Off) {
-        if (cfg.traceDir.empty())
-            fatal("trace capture/replay requires a trace directory");
-        trace_path = cfg.traceDir + "/" +
-                     trace::traceFileName(spec.workload, spec.n,
-                                          spec.seed,
-                                          cfg.compileOptions());
-    }
-
-    std::unique_ptr<trace::TraceSource> source;
-    if (cfg.traceMode == TraceMode::Replay) {
-        source = std::make_unique<trace::ReplaySource>(trace_path);
-    } else {
-        if (kernel) {
-            source =
-                std::make_unique<trace::GeneratorSource>(*kernel);
-        } else {
-            source = workloads::makeEmitterSource(
-                spec.workload, PreparedRun::workloadParams(spec),
-                cfg.compileOptions());
-        }
-        if (cfg.traceMode == TraceMode::Capture) {
-            source = std::make_unique<trace::CaptureSource>(
-                std::move(source), trace_path);
-        }
+    std::unique_ptr<trace::TraceSource> source = makeSource(spec, kernel);
+    if (cfg.traceMode == TraceMode::Capture) {
+        source = std::make_unique<trace::CaptureSource>(
+            std::move(source), tracePath(spec));
     }
 
     SystemConfig sys =
@@ -71,5 +76,12 @@ PreparedRun::PreparedRun(const RunSpec &spec)
       _system(buildSystem(spec, kernel)),
       system(*_system)
 {}
+
+std::uint64_t
+streamLengthHint(const RunSpec &spec)
+{
+    std::optional<compiler::CompiledKernel> kernel = maybeCompile(spec);
+    return makeSource(spec, kernel)->sizeHint();
+}
 
 } // namespace mda

@@ -69,6 +69,14 @@ class PreparedRun
     System &system;
 };
 
+/**
+ * Operations in @p spec's stream, found without producing it (see
+ * trace::TraceSource::sizeHint). Compiles the kernel and builds the
+ * stream as PreparedRun does, minus the capture tee: it builds no
+ * System and writes no trace file.
+ */
+std::uint64_t streamLengthHint(const RunSpec &spec);
+
 /** Compile, build, run, distill. */
 inline RunResult
 runOne(const RunSpec &spec)

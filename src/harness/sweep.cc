@@ -1,6 +1,8 @@
 #include "sweep.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <numeric>
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
@@ -16,6 +18,20 @@ resolveJobs(unsigned requested)
         return requested;
     unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;
+}
+
+unsigned
+parseJobs(const char *flag, const std::string &value)
+{
+    // from_chars takes no sign, space or base prefix for an unsigned
+    // target, and reports an empty value or one that does not fit.
+    unsigned jobs = 0;
+    const char *end = value.data() + value.size();
+    auto [stop, err] = std::from_chars(value.data(), end, jobs);
+    if (err != std::errc() || stop != end)
+        fatal("%s takes a worker count (0 = all cores), got '%s'", flag,
+              value.c_str());
+    return jobs;
 }
 
 Executor::Executor(unsigned jobs) : _jobs(resolveJobs(jobs))
@@ -51,10 +67,11 @@ Executor::workerLoop()
             seen = _generation;
         }
         for (;;) {
-            std::size_t idx =
+            std::size_t pos =
                 _next.fetch_add(1, std::memory_order_relaxed);
-            if (idx >= _count)
+            if (pos >= _count)
                 break;
+            std::size_t idx = _order ? _order[pos] : pos;
             try {
                 (*_fn)(idx);
             } catch (...) {
@@ -74,6 +91,34 @@ void
 Executor::forEach(std::size_t count,
                   const std::function<void(std::size_t)> &fn)
 {
+    dispatch(count, nullptr, fn);
+}
+
+void
+Executor::forEach(const std::vector<RunSpec> &cells,
+                  const std::function<void(std::size_t)> &fn)
+{
+    if (_jobs == 1 || cells.size() <= _jobs) {
+        dispatch(cells.size(), nullptr, fn);
+        return;
+    }
+    std::vector<std::uint64_t> ops;
+    ops.reserve(cells.size());
+    for (const auto &cell : cells)
+        ops.push_back(streamLengthHint(cell));
+    std::vector<std::size_t> order(cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&ops](std::size_t a, std::size_t b) {
+                         return ops[a] > ops[b];
+                     });
+    dispatch(order.size(), order.data(), fn);
+}
+
+void
+Executor::dispatch(std::size_t count, const std::size_t *order,
+                   const std::function<void(std::size_t)> &fn)
+{
     if (count == 0)
         return;
     if (_jobs > 1 && obs::hot) {
@@ -86,6 +131,7 @@ Executor::forEach(std::size_t count,
     {
         std::unique_lock<std::mutex> lock(_mutex);
         _fn = &fn;
+        _order = order;
         _count = count;
         _next.store(0, std::memory_order_relaxed);
         _errors.clear();
@@ -94,6 +140,7 @@ Executor::forEach(std::size_t count,
         _wake.notify_all();
         _done.wait(lock, [&] { return _active == 0; });
         _fn = nullptr;
+        _order = nullptr;
         if (!_errors.empty()) {
             auto it = std::min_element(
                 _errors.begin(), _errors.end(),
@@ -112,7 +159,7 @@ runAll(const std::vector<RunSpec> &specs, unsigned jobs)
 {
     std::vector<RunResult> results(specs.size());
     Executor pool(jobs);
-    pool.forEach(specs.size(), [&](std::size_t idx) {
+    pool.forEach(specs, [&](std::size_t idx) {
         results[idx] = runOne(specs[idx]);
     });
     return results;

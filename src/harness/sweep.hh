@@ -7,7 +7,12 @@
  * EventQueue and seeded Rng, so cells can run concurrently. The
  * Executor owns a bounded pool of worker threads and distributes cell
  * indices over it; results are stored by index, so output order is
- * the input order regardless of which worker finishes first.
+ * the input order regardless of which cell starts or finishes first.
+ *
+ * Spec sweeps start their longest cells first. Cell run times differ
+ * by two orders of magnitude (a 1P1L cell cannot vectorize along
+ * columns, so its stream is several times longer), and a long cell
+ * that starts late leaves the other workers idle while it finishes.
  *
  * Determinism contract: a cell's result depends only on its RunSpec
  * (including its seed), never on the job count or completion order.
@@ -29,6 +34,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -41,6 +47,10 @@ namespace mda::sweep
 /** Resolve a --jobs request: 0 means hardware concurrency (at least
  *  1 even when the hardware cannot be queried). */
 unsigned resolveJobs(unsigned requested);
+
+/** Parse the value of @p flag (--jobs): a decimal count that fits in
+ *  unsigned. Anything else (a sign, a suffix, overflow) is fatal. */
+unsigned parseJobs(const char *flag, const std::string &value);
 
 /** Bounded worker pool executing sweep cells by index. */
 class Executor
@@ -58,7 +68,8 @@ class Executor
     /**
      * Run fn(0) .. fn(count-1) across the pool and block until every
      * task finished. Tasks are pulled from a shared atomic cursor, so
-     * a single worker executes them in index order.
+     * a single worker executes them in index order. (The spec
+     * overload below starts its cells longest first instead.)
      *
      * If any task throws, every remaining task still runs; afterwards
      * the exception from the lowest failing index is rethrown — the
@@ -72,7 +83,26 @@ class Executor
     void forEach(std::size_t count,
                  const std::function<void(std::size_t)> &fn);
 
+    /**
+     * Run fn(i) for the input index i of every cell, starting cells
+     * in order of descending stream length (streamLengthHint(), ties
+     * in input order). The lengths are computed on the calling thread
+     * before any cell starts. With one worker, or no more cells than
+     * workers, start order cannot change when the sweep ends, so no
+     * lengths are computed and cells start in input order.
+     *
+     * Otherwise as forEach(count, fn): the rethrown exception is the
+     * one from the lowest failing *input* index, whatever order the
+     * cells started in.
+     */
+    void forEach(const std::vector<RunSpec> &cells,
+                 const std::function<void(std::size_t)> &fn);
+
   private:
+    /** Start fn(order[0]) .. fn(order[count-1]); a null @p order is
+     *  the identity. */
+    void dispatch(std::size_t count, const std::size_t *order,
+                  const std::function<void(std::size_t)> &fn);
     void workerLoop();
 
     const unsigned _jobs;
@@ -86,15 +116,17 @@ class Executor
     std::size_t _active = 0;
 
     const std::function<void(std::size_t)> *_fn = nullptr;
+    const std::size_t *_order = nullptr;
     std::size_t _count = 0;
     std::atomic<std::size_t> _next{0};
 
-    /** (index, exception) for failed tasks of the current batch. */
+    /** (input index, exception) for failed tasks of the current
+     *  batch. */
     std::vector<std::pair<std::size_t, std::exception_ptr>> _errors;
 };
 
-/** Run every spec through a pool of @p jobs workers; results are
- *  returned in input order. */
+/** Run every spec through a pool of @p jobs workers, longest stream
+ *  first; results are returned in input order. */
 std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
                               unsigned jobs = 0);
 

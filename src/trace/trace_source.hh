@@ -40,6 +40,16 @@ class TraceSource
 
     /** Operations handed out so far. */
     virtual std::uint64_t opsEmitted() const = 0;
+
+    /**
+     * Length of the whole stream in operations, found without
+     * producing it: from loop bounds, a closed form or a trace header.
+     * An 8-wide vector group counts as one op, but one that straddles
+     * two oriented lines is emitted as two, so the hint lies between
+     * half the emitted count and the count itself. Used to order
+     * sweep cells, never to bound a run.
+     */
+    virtual std::uint64_t sizeHint() const = 0;
 };
 
 /** Live generation from a compiled kernel. */
@@ -57,6 +67,7 @@ class GeneratorSource : public TraceSource
     {
         return _gen.opsEmitted();
     }
+    std::uint64_t sizeHint() const override { return _gen.sizeHint(); }
 
   private:
     compiler::TraceGenerator _gen;
@@ -77,6 +88,10 @@ class CaptureSource : public TraceSource
     {
         return _inner->opsEmitted();
     }
+    std::uint64_t sizeHint() const override
+    {
+        return _inner->sizeHint();
+    }
 
   private:
     std::unique_ptr<TraceSource> _inner;
@@ -95,6 +110,11 @@ class ReplaySource : public TraceSource
     bool next(compiler::TraceOp &op) override;
     void reset() override;
     std::uint64_t opsEmitted() const override { return _emitted; }
+    /** Exact: the header's op count. */
+    std::uint64_t sizeHint() const override
+    {
+        return _reader.opCount();
+    }
 
   private:
     TraceReader _reader;

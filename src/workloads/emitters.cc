@@ -97,6 +97,13 @@ class SpmvSource : public trace::TraceSource
 
     std::uint64_t opsEmitted() const override { return _emitted; }
 
+    /** Exact: every row emits the same perRowOps. */
+    std::uint64_t
+    sizeHint() const override
+    {
+        return static_cast<std::uint64_t>(iterations * _dim) * perRowOps;
+    }
+
   private:
     static constexpr int nnzPerRow = 16;
     static constexpr int iterations = 8;

@@ -7,9 +7,16 @@
 #include <mutex>
 #include <vector>
 
+struct RunSpec
+{
+    unsigned long n = 0;
+};
+
 struct Executor
 {
     template <typename F> void forEach(std::size_t count, F fn);
+    template <typename F>
+    void forEach(const std::vector<RunSpec> &cells, F fn);
     template <typename F> void runAll(std::size_t count, F fn);
 };
 
@@ -52,6 +59,17 @@ struct Harness
             Result one = runOne(idx);
             std::lock_guard<std::mutex> lock(_mutex);
             _done.push_back(one);
+        });
+    }
+
+    void
+    sweepSpecs(const std::vector<RunSpec> &cells,
+               std::vector<Result> &results)
+    {
+        // The spec overload passes each cell's input index, so
+        // results[i] is confined by it whatever the start order.
+        _exec.forEach(cells, [&](std::size_t i) {
+            results[i] = runOne(cells[i].n);
         });
     }
 };

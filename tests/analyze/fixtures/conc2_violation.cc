@@ -45,3 +45,22 @@ refCaptureAccumulator(Executor &exec, std::size_t n)
         total += idx; // line 45: CONC-2 by-ref shared accumulator
     });
 }
+
+// The spec overload, forEach(cells, fn), starts cells out of input
+// order but has the same worker shape.
+struct RunSpec;
+
+struct SpecExecutor
+{
+    template <typename F>
+    void forEach(const std::vector<RunSpec> &cells, F fn);
+};
+
+void
+specSweepAccumulator(SpecExecutor &exec, const std::vector<RunSpec> &cells)
+{
+    unsigned long started = 0;
+    exec.forEach(cells, [&](std::size_t i) {
+        started += i; // line 64: CONC-2 by-ref accumulator
+    });
+}

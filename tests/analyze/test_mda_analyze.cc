@@ -182,7 +182,8 @@ TEST(MdaAnalyze, Conc2CatchesSharedWritesFromWorkers)
     expectFinding(r, f, 27, "CONC-2"); // Member container write.
     expectFinding(r, f, 35, "CONC-2"); // Via called method (depth 1).
     expectFinding(r, f, 45, "CONC-2"); // By-ref captured accumulator.
-    EXPECT_EQ(countFindings(r, "CONC-2"), 4) << r.output;
+    expectFinding(r, f, 64, "CONC-2"); // The same, via forEach(cells).
+    EXPECT_EQ(countFindings(r, "CONC-2"), 5) << r.output;
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * BenchOptions::parse argument handling: a value-taking flag as the
- * final argv entry must die with "missing value", never silently run
- * the wrong configuration.
+ * final argv entry, or a malformed value, must die with a diagnostic,
+ * never silently run the wrong configuration.
  */
 
 #include <gtest/gtest.h>
@@ -50,6 +50,38 @@ TEST(BenchOptionsDeathTest, MissingValueIsFatal)
                 "missing value for --debug-flags");
     EXPECT_EXIT(parseArgs({"--jobs"}), testing::ExitedWithCode(1),
                 "missing value for --jobs");
+}
+
+TEST(BenchOptions, JobsAcceptsZero)
+{
+    // 0 is a count too: it asks for every hardware thread.
+    EXPECT_EQ(parseArgs({"--jobs", "0"}).jobs, 0u);
+}
+
+TEST(BenchOptionsDeathTest, MalformedJobsIsFatal)
+{
+    // A sign, letters, a suffix, overflow, nothing: no worker count.
+    for (const char *bad : {"-1", "abc", "4x", "99999999999", ""}) {
+        EXPECT_EXIT(parseArgs({"--jobs", bad}),
+                    testing::ExitedWithCode(1),
+                    std::string("--jobs takes a worker count .*got '") +
+                        bad + "'")
+            << bad;
+    }
+}
+
+TEST(BenchOptionsDeathTest, UnwritableStatsOutputIsFatalBeforeRunning)
+{
+    // Fatal when the runner is built, before any cell could run.
+    EXPECT_EXIT(CellRunner(parseArgs(
+                    {"--stats-json", "/nonexistent/dir/x.json"})),
+                testing::ExitedWithCode(1),
+                "cannot write stats JSON: /nonexistent/dir/x.json");
+    EXPECT_EXIT(CellRunner(parseArgs(
+                    {"--stats-interval", "5000", "--stats-jsonl",
+                     "/nonexistent/dir/x.jsonl"})),
+                testing::ExitedWithCode(1),
+                "cannot write stats JSONL: /nonexistent/dir/x.jsonl");
 }
 
 TEST(BenchOptions, TraceFlagsSetModeAndDirectory)
