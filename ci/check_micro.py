@@ -3,9 +3,10 @@
 
 Compares a fresh micro_kernel --stats-json output against the
 committed baseline in ci/baselines/BENCH_micro_kernel.json. The
-measurements are wall-clock rates (events/sec, packets/sec) where
-HIGHER is better, so the gate fails when a rate drops more than the
-tolerance below baseline; rates above baseline never fail (the
+measurements are wall-clock rates (events/sec, packets/sec, and the
+functional-warming ops/sec of sampled runs) where HIGHER is better,
+so the gate fails when a rate drops more than the tolerance below
+baseline; rates above baseline never fail (the
 baseline is refreshed when an optimization lands, see EXPERIMENTS.md).
 
   check_micro.py <baseline.json> <current.json> [--tolerance T]
@@ -17,7 +18,8 @@ import argparse
 import json
 import sys
 
-# Gated rates: a drop in any of these means a kernel hot path got
+# Gated rates: a drop in any of these means a kernel hot path, or the
+# fast-forward path sampled runs spend most of their time in, got
 # slower. pool.speedup is a ratio of two measured rates and is noisier
 # than either, so it is reported but never gated.
 GATED = [
@@ -25,6 +27,8 @@ GATED = [
     ("events", "mixed"),
     ("packets", "heap"),
     ("packets", "pooled"),
+    ("warming", "drain"),
+    ("warming", "fastForward"),
 ]
 
 

@@ -47,6 +47,36 @@ using StorageSlot = std::uint32_t;
 /** "No frame": find() misses and every-way-pinned allocations. */
 inline constexpr StorageSlot kNoSlot = ~StorageSlot{0};
 
+/** What one sweep of a set found (the storages' probe()). */
+struct SetProbe
+{
+    /** The frame holding the looked-up line or tile, or kNoSlot. */
+    StorageSlot hit = kNoSlot;
+    /** On a miss, the frame to replace; kNoSlot on a hit. */
+    StorageSlot victim = kNoSlot;
+};
+
+/**
+ * The presence probe and the victim choice in one sweep of a set whose
+ * first frame is @p first: stop at the frame tagged @p key, else name
+ * the first frame with the lowest recency stamp. Invalid frames hold
+ * stamp 0 and live stamps start at 1, so that is the first invalid
+ * frame if there is one, else the LRU frame.
+ */
+inline SetProbe
+probeSet(const std::uint64_t *tags, const std::uint64_t *stamps,
+         unsigned ways, std::uint64_t key, StorageSlot first)
+{
+    unsigned best = 0;
+    for (unsigned w = 0; w < ways; ++w) {
+        if (tags[w] == key)
+            return {first + w, kNoSlot};
+        if (stamps[w] < stamps[best])
+            best = w;
+    }
+    return {kNoSlot, first + best};
+}
+
 /** SoA set-associative array of oriented-line frames. */
 class LineStorage
 {
@@ -137,6 +167,19 @@ class LineStorage
             if (stamps[w] < stamps[best])
                 best = w;
         return static_cast<StorageSlot>(set * _ways + best);
+    }
+
+    /**
+     * find() and victim() in one sweep of @p set: a miss has seen
+     * every recency stamp, so it also names the victim. The functional
+     * walk installs a missing line with no second sweep; the victim
+     * stays current until this set's frames change.
+     */
+    SetProbe
+    probe(std::uint64_t set, const OrientedLine &line) const
+    {
+        return probeSet(&_keys[set * _ways], &_lru[set * _ways], _ways,
+                        packedKey(line), slotOf(set, 0));
     }
 
     /**
@@ -474,6 +517,20 @@ class TileStorage
             if (tags[w] == tile)
                 return static_cast<StorageSlot>(set * _ways + w);
         return kNoSlot;
+    }
+
+    /**
+     * find() plus, on a miss, the unpinned victim choice in the same
+     * sweep of @p set: the first invalid frame, else the LRU frame.
+     * (Pinning is a timed-mode concern; TileCache::allocFrame chooses
+     * its own victim.)
+     */
+    SetProbe
+    probe(std::uint64_t set, std::uint64_t tile) const
+    {
+        mda_assert(tile != invalidTag, "tile id collides with sentinel");
+        return probeSet(&_tags[set * _ways], &_lru[set * _ways], _ways,
+                        tile, slotOf(set, 0));
     }
 
     void touch(StorageSlot slot) { _lru[slot] = ++_clock; }

@@ -256,17 +256,129 @@ TraceGenerator::emitVectorRef(const RefPlan &ref)
 }
 
 void
+TraceGenerator::emitRef(const RefPlan &ref, unsigned width)
+{
+    bool moving = (ref.dir == AccessDirection::RowWise ||
+                   ref.dir == AccessDirection::ColWise);
+    if (width == VectorPlan::width && moving)
+        emitVectorRef(ref);
+    else
+        emitScalarRef(ref);
+}
+
+void
 TraceGenerator::emitStmt(const StmtPlan &stmt, unsigned width)
 {
     _pendingCompute += stmt.computeCycles;
-    for (const auto &ref : stmt.refs) {
-        bool moving = (ref.dir == AccessDirection::RowWise ||
-                       ref.dir == AccessDirection::ColWise);
-        if (width == VectorPlan::width && moving)
-            emitVectorRef(ref);
-        else
-            emitScalarRef(ref);
+    for (const auto &ref : stmt.refs)
+        emitRef(ref, width);
+}
+
+/**
+ * Address step of @p ref's first lane from one vector group to the
+ * next, checked over a run of @p groups groups: the last group's first
+ * lane must sit groups - 1 steps away, and the run's last lane must be
+ * in bounds (affine subscripts are monotone, so every lane between is
+ * too).
+ */
+Addr
+TraceGenerator::groupStep(const RefPlan &ref, std::int64_t groups) const
+{
+    constexpr std::int64_t width = VectorPlan::width;
+    if (ref.rowStep == 0 && ref.colStep == 0)
+        return 0;
+    const std::int64_t r = ref.rowExpr.eval(_vals);
+    const std::int64_t c = ref.colExpr.eval(_vals);
+    auto lane = [&](std::int64_t k) {
+        return ref.layout->elementAddr(r + k * ref.rowStep,
+                                       c + k * ref.colStep);
+    };
+    const Addr first = lane(0);
+    const Addr step = lane(width) - first;
+    const std::int64_t last = width * (groups - 1);
+    mda_assert(lane(last) ==
+                   first + static_cast<Addr>(groups - 1) * step,
+               "vector run is not a constant address shift");
+    lane(last + width - 1); // elementAddr's bounds check
+    return step;
+}
+
+namespace
+{
+
+/** Whether moving every lane of @p op by @p step keeps the lanes
+ *  grouped into the same lines: whole tiles keep every tile-internal
+ *  coordinate, and 64 B steps keep a row line's word indexes. */
+bool
+keepsLineGrouping(const TraceOp &op, Addr step)
+{
+    return !op.isVector || (step & (tileBytes - 1)) == 0 ||
+           (op.orient == Orientation::Row &&
+            (step & (lineBytes - 1)) == 0);
+}
+
+} // namespace
+
+/**
+ * Emit the innermost loop's next full vector groups (its Pre and Post
+ * statements) as one run, leaving the loop value on the last group.
+ *
+ * Moving both subscripts of a reference by multiples of 8 shifts every
+ * lane by one constant on both layouts: whole tiles on TiledLayout,
+ * 8 rows or 64 B steps on RowMajorLayout. So each later group's ops are
+ * the first group's, every address advanced by its reference's step,
+ * as long as each vector op keeps its line grouping. Otherwise (column
+ * lines 64 B apart, as on a row-major layout) the run stops after the
+ * first group, and the walker takes the next group as usual.
+ */
+void
+TraceGenerator::emitVectorRun(const NestPlan &plan, unsigned inner)
+{
+    constexpr std::int64_t width = VectorPlan::width;
+    std::int64_t &v = _vals[plan.nest->loops[inner].id];
+    const std::int64_t groups =
+        std::min((_hi[inner] - v) / width, maxRunGroups);
+    const std::size_t start = _buffer.size();
+    const std::uint32_t carried = _pendingCompute;
+    bool repeatable = groups > 1;
+    _runStep.clear();
+
+    for (const auto *at : {&plan.preAt[inner], &plan.postAt[inner]}) {
+        for (unsigned idx : *at) {
+            const StmtPlan &stmt = plan.stmts[idx];
+            _pendingCompute += stmt.computeCycles;
+            for (const auto &ref : stmt.refs) {
+                std::size_t before = _buffer.size();
+                emitRef(ref, width);
+                if (!repeatable)
+                    continue;
+                Addr step = groupStep(ref, groups);
+                repeatable = keepsLineGrouping(_buffer[before], step);
+                _runStep.insert(_runStep.end(), _buffer.size() - before,
+                                step);
+            }
+        }
     }
+
+    const std::size_t count = _buffer.size() - start;
+    if (!repeatable || count == 0)
+        return;
+    // A group's first op absorbs the compute carried into it: the
+    // first group's carry-in was `carried`, every later group's is
+    // what the group before left pending.
+    const std::uint32_t lead =
+        _buffer[start].computeCycles - carried + _pendingCompute;
+    _buffer.reserve(start + count * static_cast<std::size_t>(groups));
+    for (std::int64_t g = 1; g < groups; ++g) {
+        for (std::size_t i = 0; i < count; ++i) {
+            TraceOp op = _buffer[start + i];
+            op.addr += static_cast<Addr>(g) * _runStep[i];
+            _buffer.push_back(op);
+        }
+        _buffer[start + count * static_cast<std::size_t>(g)]
+            .computeCycles = lead;
+    }
+    v += width * (groups - 1);
 }
 
 bool
@@ -319,6 +431,11 @@ TraceGenerator::refill()
                             ? VectorPlan::width
                             : 1;
                 _lastWidth = width;
+                if (width == VectorPlan::width) {
+                    emitVectorRun(plan, inner);
+                    _phase = Phase::Advance;
+                    break;
+                }
             }
             for (unsigned idx : plan.preAt[_depth])
                 emitStmt(plan.stmts[idx], width);

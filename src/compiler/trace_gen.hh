@@ -8,6 +8,11 @@
  * explicit-value loops, statements at any depth in Pre/Post phases,
  * and width-8 vector groups with scalar remainders) and produces ops
  * on demand. This is what makes 10^8-operation simulations practical.
+ *
+ * A vectorized innermost loop is emitted in runs of full groups: a
+ * run's first group goes through the per-reference emitters and every
+ * later group repeats its ops, each address advanced by its
+ * reference's fixed per-group step (see emitVectorRun()).
  */
 
 #ifndef MDA_COMPILER_TRACE_GEN_HH
@@ -68,8 +73,9 @@ class TraceGenerator
         AccessDirection dir = AccessDirection::Invariant;
         bool isWrite = false;
         std::uint32_t pc = 0;
-        /** Per-lane step of the moving subscript under the stmt's
-         *  innermost loop (0 for invariant refs). */
+        /** Per-lane step of each subscript under the stmt's
+         *  innermost loop (0 for invariant refs); a vector group
+         *  moves them by 8 times this. */
         std::int64_t rowStep = 0, colStep = 0;
     };
 
@@ -112,6 +118,9 @@ class TraceGenerator
                                std::vector<std::int64_t> &vals) const;
     bool refill();
     void emitStmt(const StmtPlan &stmt, unsigned width);
+    void emitRef(const RefPlan &ref, unsigned width);
+    void emitVectorRun(const NestPlan &plan, unsigned inner);
+    Addr groupStep(const RefPlan &ref, std::int64_t groups) const;
     void emitScalarRef(const RefPlan &ref);
     void emitVectorRef(const RefPlan &ref);
     void pushOp(TraceOp op);
@@ -132,8 +141,14 @@ class TraceGenerator
     unsigned _lastWidth = 1;              ///< Width of last inner body.
     std::uint32_t _pendingCompute = 0;
 
+    /** Most vector groups one run emits: bounds the buffer at this
+     *  many times one group's ops. */
+    static constexpr std::int64_t maxRunGroups = 64;
+
     // --- output buffer ---
     std::vector<TraceOp> _buffer;
+    /** Per-op address step of a run's first group (emitVectorRun). */
+    std::vector<Addr> _runStep;
     std::size_t _head = 0;
     std::uint64_t _emitted = 0;
     bool _done = false;

@@ -29,27 +29,6 @@ LineCache::LineCache(const std::string &obj_name, EventQueue &eq,
               "line requests assembled from crossing lines");
 }
 
-std::uint64_t
-LineCache::setFor(const OrientedLine &line) const
-{
-    // The baseline indexes conventionally (low line-address bits),
-    // inheriting the classic pathology of power-of-two-strided walks:
-    // a row-major matrix column maps to a few sets and thrashes. The
-    // 2-D designs cannot index that way at all — under the tiled
-    // layout consecutive lines of a logical row or column differ by 8
-    // in line id, and narrow workloads (the HTAP fields) touch only a
-    // thin band of tile columns — so they realize Fig. 8's composed
-    // index as a hash of the tile ("index high") bits, spreading the
-    // intra-tile index in Different-Set mode.
-    if (_mapping == LineMapping::OneD)
-        return _setMod.mod(line.id);
-    std::uint64_t tile_hash =
-        (line.tile() * 0x9e3779b97f4a7c15ULL) >> 24;
-    if (_mapping == LineMapping::TwoDSameSet)
-        return _setMod.mod(tile_hash);
-    return _setMod.mod(tile_hash ^ (line.index() * 0x9e3779b9ULL));
-}
-
 StorageSlot
 LineCache::lookup(const OrientedLine &line)
 {
@@ -574,18 +553,19 @@ LineCache::functionalEvict(StorageSlot slot)
     _storage.invalidate(slot);
 }
 
-void
+bool
 LineCache::functionalDupSweep(const OrientedLine &line,
                               std::uint8_t covered_mask,
                               std::uint8_t written_mask)
 {
     if (!is2D())
-        return;
+        return false;
     Orientation cross_orient = flip(line.orient);
     std::uint8_t probe_mask = covered_mask | written_mask;
     if (!_storage.mayHoldTileLines(cross_orient, line.tile()))
-        return;
+        return false;
 
+    bool freed = false;
     auto act = [&](StorageSlot slot, bool written) {
         std::uint8_t dirty = _storage.dirtyMask(slot);
         if (dirty) {
@@ -593,8 +573,10 @@ LineCache::functionalDupSweep(const OrientedLine &line,
             _storage.setDirtyMask(slot, 0);
             _downstream->functionalWriteback(held, dirty);
         }
-        if (written)
+        if (written) {
             _storage.invalidate(slot);
+            freed = true;
+        }
     };
 
     if (_mapping == LineMapping::TwoDSameSet) {
@@ -608,7 +590,7 @@ LineCache::functionalDupSweep(const OrientedLine &line,
             hits &= static_cast<std::uint8_t>(hits - 1);
             act(slots[k], (written_mask & (1u << k)) != 0);
         }
-        return;
+        return freed;
     }
     for (unsigned k = 0; k < lineWords; ++k) {
         std::uint8_t bit = static_cast<std::uint8_t>(1u << k);
@@ -619,23 +601,22 @@ LineCache::functionalDupSweep(const OrientedLine &line,
         if (slot != kNoSlot)
             act(slot, (written_mask & bit) != 0);
     }
+    return freed;
 }
 
-StorageSlot
-LineCache::functionalFill(const OrientedLine &line)
+void
+LineCache::functionalFill(const OrientedLine &line, StorageSlot victim)
 {
     FunctionalReq down;
     down.line = line;
     down.addr = line.baseAddr();
     down.wordMask = 0xff;
     down.isLine = true;
+    // Only lower levels change here: the victim stays current.
     _downstream->functionalAccess(down);
-    StorageSlot victim =
-        _storage.victimForInstall(setFor(line), line);
     if (_storage.valid(victim))
         functionalEvict(victim);
     _storage.install(victim, line);
-    return victim;
 }
 
 void
@@ -645,7 +626,11 @@ LineCache::functionalAccess(const FunctionalReq &req)
     if (_mapping == LineMapping::OneD && !req.isLine)
         line = OrientedLine::containing(req.addr, Orientation::Row);
 
-    StorageSlot entry = _storage.find(setFor(line), line);
+    // One sweep of the line's set: its frame, or the frame a miss
+    // replaces.
+    const std::uint64_t set = setFor(line);
+    SetProbe probe = _storage.probe(set, line);
+    StorageSlot entry = probe.hit;
 
     // Mis-oriented scalar service from the crossing line.
     if (entry == kNoSlot && !req.isLine && is2D()) {
@@ -682,18 +667,21 @@ LineCache::functionalAccess(const FunctionalReq &req)
         // Gather hit: served from crossing lines, nothing installed.
     } else {
         // ---- miss ----
-        functionalDupSweep(line, 0xff, written);
+        // The sweep may free a frame of this set; nothing else
+        // touches this level's frames before the install.
+        StorageSlot victim = probe.victim;
+        if (functionalDupSweep(line, 0xff, written))
+            victim = _storage.victim(set);
         if (req.isWrite && req.isLine && req.wordMask == 0xff) {
             // Full-line vector write: allocate without a fetch.
-            StorageSlot victim = _storage.victim(setFor(line));
             if (_storage.valid(victim))
                 functionalEvict(victim);
             _storage.install(victim, line);
             _storage.setDirtyMask(victim, 0xff);
         } else {
-            StorageSlot filled = functionalFill(line);
+            functionalFill(line, victim);
             if (written)
-                _storage.setDirtyMask(filled, written);
+                _storage.setDirtyMask(victim, written);
         }
     }
 
@@ -704,8 +692,11 @@ LineCache::functionalAccess(const FunctionalReq &req)
         for (Addr line_base : candidates) {
             OrientedLine cand =
                 OrientedLine::containing(line_base, Orientation::Row);
-            if (lookup(cand) == kNoSlot)
-                _storage.setPrefetched(functionalFill(cand), true);
+            SetProbe cand_probe = _storage.probe(setFor(cand), cand);
+            if (cand_probe.hit == kNoSlot) {
+                functionalFill(cand, cand_probe.victim);
+                _storage.setPrefetched(cand_probe.victim, true);
+            }
         }
     }
 }
@@ -733,16 +724,18 @@ void
 LineCache::functionalWriteback(const OrientedLine &line,
                                std::uint8_t mask)
 {
-    StorageSlot entry = lookup(line);
-    functionalDupSweep(line, 0, mask);
-    if (entry != kNoSlot) {
-        _storage.setDirtyMask(entry,
-                              _storage.dirtyMask(entry) | mask);
-        _storage.touch(entry);
+    const std::uint64_t set = setFor(line);
+    SetProbe probe = _storage.probe(set, line);
+    // The sweep drops crossing lines only, never this line's frame.
+    bool freed = functionalDupSweep(line, 0, mask);
+    if (probe.hit != kNoSlot) {
+        _storage.setDirtyMask(probe.hit,
+                              _storage.dirtyMask(probe.hit) | mask);
+        _storage.touch(probe.hit);
         return;
     }
     if (mask == 0xff) {
-        StorageSlot victim = _storage.victim(setFor(line));
+        StorageSlot victim = freed ? _storage.victim(set) : probe.victim;
         if (_storage.valid(victim))
             functionalEvict(victim);
         _storage.install(victim, line);

@@ -74,7 +74,27 @@ class LineCache : public CacheBase
     LineStorage &storage() { return _storage; }
 
     /** Set index of @p line under this cache's mapping mode. */
-    std::uint64_t setFor(const OrientedLine &line) const;
+    std::uint64_t
+    setFor(const OrientedLine &line) const
+    {
+        // The baseline indexes conventionally (low line-address bits),
+        // inheriting the classic pathology of power-of-two-strided
+        // walks: a row-major matrix column maps to a few sets and
+        // thrashes. The 2-D designs cannot index that way at all —
+        // under the tiled layout consecutive lines of a logical row or
+        // column differ by 8 in line id, and narrow workloads (the
+        // HTAP fields) touch only a thin band of tile columns — so
+        // they realize Fig. 8's composed index as a hash of the tile
+        // ("index high") bits, spreading the intra-tile index in
+        // Different-Set mode.
+        if (_mapping == LineMapping::OneD)
+            return _setMod.mod(line.id);
+        std::uint64_t tile_hash =
+            (line.tile() * 0x9e3779b97f4a7c15ULL) >> 24;
+        if (_mapping == LineMapping::TwoDSameSet)
+            return _setMod.mod(tile_hash);
+        return _setMod.mod(tile_hash ^ (line.index() * 0x9e3779b9ULL));
+    }
 
     /** Structural invariants (mda_fuzz hook): dirty bits only on
      *  valid entries, a dirty word exclusive within this level (no
@@ -155,13 +175,15 @@ class LineCache : public CacheBase
     /** Evict @p slot, forwarding dirty words down functionally. */
     void functionalEvict(StorageSlot slot);
 
-    /** prepareLine()'s state effects without probes or stats. */
-    void functionalDupSweep(const OrientedLine &line,
+    /** prepareLine()'s state effects without probes or stats.
+     *  Returns whether it invalidated any frame. */
+    bool functionalDupSweep(const OrientedLine &line,
                             std::uint8_t covered_mask,
                             std::uint8_t written_mask);
 
-    /** Fetch-and-install @p line (recursing down), return its slot. */
-    StorageSlot functionalFill(const OrientedLine &line);
+    /** Fetch @p line (recursing down) and install it in @p victim,
+     *  evicting the frame's occupant. */
+    void functionalFill(const OrientedLine &line, StorageSlot victim);
 
     /** Gather-hit probe: if every word of @p mask sits in a crossing
      *  line, touch those sources and return true (no fill needed). */

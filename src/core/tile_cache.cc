@@ -93,14 +93,6 @@ TileCache::checkInvariants() const
     return violations;
 }
 
-std::uint64_t
-TileCache::setFor(std::uint64_t tile) const
-{
-    // Same index hashing rationale as LineCache::setFor: narrow tile
-    // bands (HTAP fields) would otherwise collapse into a few sets.
-    return _setMod.mod((tile * 0x9e3779b97f4a7c15ULL) >> 24);
-}
-
 StorageSlot
 TileCache::find(std::uint64_t tile)
 {
@@ -370,25 +362,14 @@ TileCache::streamBlock(const OrientedLine &line)
 // always complete instead of being dropped on MSHR pressure.
 
 StorageSlot
-TileCache::functionalAllocFrame(std::uint64_t tile)
+TileCache::functionalAllocFrame(std::uint64_t tile, const SetProbe &probe)
 {
-    if (StorageSlot hit = find(tile); hit != kNoSlot)
-        return hit;
-    std::uint64_t set = setFor(tile);
-    StorageSlot victim = _storage.slotOf(set, 0);
-    for (unsigned w = 0; w < _config.ways; ++w) {
-        StorageSlot slot = _storage.slotOf(set, w);
-        if (!_storage.valid(slot)) {
-            victim = slot;
-            break;
-        }
-        if (_storage.lruStamp(slot) < _storage.lruStamp(victim))
-            victim = slot;
-    }
-    if (_storage.valid(victim))
-        functionalEvictFrame(victim);
-    _storage.installFrame(victim, tile);
-    return victim;
+    if (probe.hit != kNoSlot)
+        return probe.hit;
+    if (_storage.valid(probe.victim))
+        functionalEvictFrame(probe.victim);
+    _storage.installFrame(probe.victim, tile);
+    return probe.victim;
 }
 
 void
@@ -440,9 +421,10 @@ TileCache::functionalAccess(const FunctionalReq &req)
             : (1ULL << tileWordBit(tileRowOf(req.addr),
                                    tileColOf(req.addr)));
 
+    const SetProbe found = _storage.probe(setFor(tile), tile);
     if (req.isWrite) {
         // Word-granular write-validate: no fetch is ever needed.
-        StorageSlot entry = functionalAllocFrame(tile);
+        StorageSlot entry = functionalAllocFrame(tile, found);
         std::uint64_t fresh = needed & ~_storage.wordValid(entry);
         _storage.orWordValid(entry, needed);
         _storage.orWordDirty(entry, needed);
@@ -452,13 +434,12 @@ TileCache::functionalAccess(const FunctionalReq &req)
         return;
     }
 
-    StorageSlot entry = find(tile);
-    if (entry != kNoSlot &&
-        (_storage.wordValid(entry) & needed) == needed) {
-        _storage.touch(entry);
+    if (found.hit != kNoSlot &&
+        (_storage.wordValid(found.hit) & needed) == needed) {
+        _storage.touch(found.hit);
         return;
     }
-    entry = functionalAllocFrame(tile);
+    StorageSlot entry = functionalAllocFrame(tile, found);
     functionalFillLine(line, entry);
     _storage.touch(entry);
     if (_fill == TileFillPolicy::Dense) {
@@ -475,7 +456,8 @@ void
 TileCache::functionalWriteback(const OrientedLine &line,
                                std::uint8_t mask)
 {
-    StorageSlot entry = functionalAllocFrame(line.tile());
+    StorageSlot entry = functionalAllocFrame(
+        line.tile(), _storage.probe(setFor(line.tile()), line.tile()));
     bool was_absent = (_storage.wordValid(entry) == 0);
     std::uint64_t words = tileMaskFor(line, mask);
     std::uint64_t fresh = words & ~_storage.wordValid(entry);

@@ -86,7 +86,14 @@ class TileCache : public CacheBase
     std::uint64_t presentWords() const { return _presentWords; }
 
     /** Set index of @p tile (hashed; exposed for tests). */
-    std::uint64_t setFor(std::uint64_t tile) const;
+    std::uint64_t
+    setFor(std::uint64_t tile) const
+    {
+        // Same index hashing rationale as LineCache::setFor: narrow
+        // tile bands (HTAP fields) would otherwise collapse into a few
+        // sets.
+        return _setMod.mod((tile * 0x9e3779b97f4a7c15ULL) >> 24);
+    }
 
     /** Structural invariants (mda_fuzz hook): presence/dirty masks
      *  zero on invalid frames, dirty bits only on present words,
@@ -142,8 +149,10 @@ class TileCache : public CacheBase
 
     // ---- functional (fast-forward) mirrors: state, no timing ----
 
-    /** allocFrame() without MSHR pinning (no fills are in flight). */
-    StorageSlot functionalAllocFrame(std::uint64_t tile);
+    /** allocFrame() without MSHR pinning (no fills are in flight),
+     *  from @p probe, one sweep of @p tile's set. */
+    StorageSlot functionalAllocFrame(std::uint64_t tile,
+                                     const SetProbe &probe);
 
     /** Evict @p slot, forwarding dirty rows down functionally. */
     void functionalEvictFrame(StorageSlot slot);

@@ -25,7 +25,7 @@ System::System(const SystemConfig &config,
 {
     if (config.sampling()) {
         if (config.sampleWindow == 0 ||
-            config.sampleWindow * 2 > config.samplePeriod) {
+            config.sampleWindow > config.samplePeriod / 2) {
             fatal("sampling window (%llu) must be positive with "
                   "twice the window fitting in the period (%llu): "
                   "each measured window is preceded by an equally "

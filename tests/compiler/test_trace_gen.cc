@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "compiler/access_mix.hh"
 #include "compiler/trace_gen.hh"
 #include "test_kernels.hh"
+#include "workloads/kernels.hh"
 
 namespace mda::compiler
 {
@@ -226,6 +228,27 @@ TEST(TraceGen, ComputeOnlyStmtCarriesToNextOp)
     EXPECT_EQ(ops[1].computeCycles, 7u);
 }
 
+TEST(TraceGen, VectorRunCarriesTrailingCompute)
+{
+    // for i: for j: {read A[i][j]; compute 2} {compute 5}, four full
+    // vector groups per row: each group after the first starts with
+    // the 5 cycles the group before left pending.
+    KernelBuilder b("carry");
+    auto arr = b.array("A", 2, 32);
+    auto nest = b.nest("n");
+    auto i = nest.loop("i", 0, 2);
+    auto j = nest.loop("j", 0, 32);
+    auto &s = nest.stmt(2);
+    nest.read(s, arr, AffineExpr::var(i), AffineExpr::var(j));
+    nest.stmt(5);
+    auto ck = compileKernel(b.build(), mdaVector());
+    auto ops = drain(ck);
+    ASSERT_EQ(ops.size(), 8u);
+    EXPECT_EQ(ops[0].computeCycles, 2u);
+    for (std::size_t n = 1; n < ops.size(); ++n)
+        EXPECT_EQ(ops[n].computeCycles, 7u) << "op " << n;
+}
+
 TEST(TraceGen, ResetReproducesIdenticalStream)
 {
     auto ck = compileKernel(testing::miniGemm(6), mdaVector());
@@ -310,6 +333,156 @@ TEST(TraceGen, AccessMixGemm)
     // Total volume: 32^3 * 8 bytes * 2 reads + 32^2 * 8 stores.
     EXPECT_EQ(mix.total(),
               2u * 32 * 32 * 32 * 8 + 32u * 32 * 8);
+}
+
+/** How a golden stream is compiled. */
+enum class GoldenMode : std::uint8_t
+{
+    Baseline,    ///< 1P1L: row annotations, row-only vectors.
+    Mda,         ///< MDA: tiled layout, column vectors.
+    MdaRowMajor, ///< MDA annotations on a row-major layout.
+    /** MdaRowMajor with every row-wise reference annotated Col: its
+     *  vector groups are column lines stepped 64 B apart, which do
+     *  not keep their line grouping from group to group. */
+    MdaRowMajorColRows,
+};
+
+struct GoldenStream
+{
+    const char *workload;
+    GoldenMode mode;
+    std::int64_t n;
+    std::uint64_t ops;
+    std::uint64_t digest;
+};
+
+CompiledKernel
+compileGolden(const std::string &workload, GoldenMode mode,
+              std::int64_t n)
+{
+    workloads::WorkloadParams params;
+    params.n = n;
+    CompileOptions opts;
+    opts.mdaEnabled = (mode != GoldenMode::Baseline);
+    opts.vectorize = true;
+    if (mode == GoldenMode::MdaRowMajor ||
+        mode == GoldenMode::MdaRowMajorColRows)
+        opts.layoutOverride = LayoutKind::RowMajor1D;
+    CompiledKernel ck =
+        compileKernel(workloads::makeWorkload(workload, params), opts);
+    if (mode == GoldenMode::MdaRowMajorColRows) {
+        for (const auto &[ref, dir] : ck.directions.byRef)
+            if (dir == AccessDirection::RowWise)
+                ck.annotationOverrides[ref] = Orientation::Col;
+    }
+    return ck;
+}
+
+/** FNV-1a over every field of every op, then the op count. */
+std::uint64_t
+fnv(std::uint64_t h, std::uint64_t v, unsigned bytes)
+{
+    for (unsigned b = 0; b < bytes; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::pair<std::uint64_t, std::uint64_t>
+streamDigest(const CompiledKernel &ck)
+{
+    TraceGenerator gen(ck);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t ops = 0;
+    TraceOp op;
+    while (gen.next(op)) {
+        h = fnv(h, op.addr, 8);
+        h = fnv(h, static_cast<unsigned>(op.orient), 1);
+        h = fnv(h, op.isWrite, 1);
+        h = fnv(h, op.isVector, 1);
+        h = fnv(h, op.wordMask, 1);
+        h = fnv(h, op.pc, 4);
+        h = fnv(h, op.computeCycles, 4);
+        ++ops;
+    }
+    return {ops, fnv(h, ops, 8)};
+}
+
+/**
+ * Golden op streams: the digest of every field of every op, and the op
+ * count, for each IR workload in both compile modes. They were recorded
+ * from the group-at-a-time walk, so they pin the vector runs to it.
+ * n = 61 leaves scalar remainders and vector groups that straddle
+ * tiles; n = 64 is aligned.
+ * The row-major MDA streams take the per-group path: sgemm and sobel
+ * have no vector body there, and the column-annotated row walks step
+ * their column lines 64 B apart, which would regroup their words.
+ */
+const GoldenStream goldenStreams[] = {
+    {"sgemm", GoldenMode::Baseline, 61, 457683u, 0xa7b4def53c86090cULL},
+    {"sgemm", GoldenMode::Baseline, 64, 528384u, 0xa25f05159f60124dULL},
+    {"sgemm", GoldenMode::Mda, 61, 93025u, 0x98b596e00e01b9e5ULL},
+    {"sgemm", GoldenMode::Mda, 64, 69632u, 0x075c3845ae2e8bdcULL},
+    {"ssyr2k", GoldenMode::Baseline, 61, 916830u, 0x7c16d8c92c2eddf4ULL},
+    {"ssyr2k", GoldenMode::Baseline, 64, 1057792u, 0x74ea9d579fd49749ULL},
+    {"ssyr2k", GoldenMode::Mda, 61, 187514u, 0xfff3587903a62bb4ULL},
+    {"ssyr2k", GoldenMode::Mda, 64, 140288u, 0x61d20742c7d88d2bULL},
+    {"ssyrk", GoldenMode::Baseline, 61, 238986u, 0x66ea82ebb3c8b20aULL},
+    {"ssyrk", GoldenMode::Baseline, 64, 275344u, 0xcf13bd964b6bbb60ULL},
+    {"ssyrk", GoldenMode::Mda, 61, 50826u, 0xe8b7901cdf3ea07aULL},
+    {"ssyrk", GoldenMode::Mda, 64, 39248u, 0x66396f3e076184d2ULL},
+    {"strmm", GoldenMode::Baseline, 61, 234423u, 0x4b4c639f9b6c7429ULL},
+    {"strmm", GoldenMode::Baseline, 64, 270336u, 0xac3772b6e40de441ULL},
+    {"strmm", GoldenMode::Mda, 61, 55083u, 0x57e3280ca74457ddULL},
+    {"strmm", GoldenMode::Mda, 64, 62464u, 0x6ee43120e6827ec9ULL},
+    {"sobel", GoldenMode::Baseline, 61, 31329u, 0xe3a88ed59e91a96dULL},
+    {"sobel", GoldenMode::Baseline, 64, 34596u, 0x18b17ae289ae8224ULL},
+    {"sobel", GoldenMode::Mda, 61, 7788u, 0x1ed35f5b8b242cd1ULL},
+    {"sobel", GoldenMode::Mda, 64, 9858u, 0xa62ddd0fecafff9bULL},
+    {"htap1", GoldenMode::Baseline, 61, 4270u, 0x1c1fd7d9d5f4e6f3ULL},
+    {"htap1", GoldenMode::Baseline, 64, 4736u, 0x017bd7235e978f07ULL},
+    {"htap1", GoldenMode::Mda, 61, 2800u, 0x783a89b42afbe8adULL},
+    {"htap1", GoldenMode::Mda, 64, 2944u, 0x8d5b93045829bb5cULL},
+    {"htap2", GoldenMode::Baseline, 61, 5124u, 0xb71312a63bb88569ULL},
+    {"htap2", GoldenMode::Baseline, 64, 5632u, 0xc204659d9897fcefULL},
+    {"htap2", GoldenMode::Mda, 61, 5124u, 0x3e9beee53fac75edULL},
+    {"htap2", GoldenMode::Mda, 64, 5408u, 0x0ee897ebe367b3deULL},
+    {"kv", GoldenMode::Baseline, 61, 1952u, 0x210ee35179664520ULL},
+    {"kv", GoldenMode::Baseline, 64, 2048u, 0x775b7854114fbae5ULL},
+    {"kv", GoldenMode::Mda, 61, 1952u, 0xa63f6d3a90fa1a7cULL},
+    {"kv", GoldenMode::Mda, 64, 2048u, 0x07f68fe409daedc9ULL},
+    {"stream", GoldenMode::Baseline, 61, 5124u, 0x95469f994df7869dULL},
+    {"stream", GoldenMode::Baseline, 64, 4352u, 0x122d38de36e7c37aULL},
+    {"stream", GoldenMode::Mda, 61, 3444u, 0x6a40b93a7b0e516aULL},
+    {"stream", GoldenMode::Mda, 64, 2560u, 0x2e34ce105dbeef57ULL},
+    {"sgemm", GoldenMode::MdaRowMajor, 61, 457683u, 0x709eecfe9b311c1dULL},
+    {"sgemm", GoldenMode::MdaRowMajor, 64, 528384u, 0x584d161de59a484dULL},
+    {"sobel", GoldenMode::MdaRowMajor, 61, 31329u, 0x83ba9b62399ae504ULL},
+    {"sobel", GoldenMode::MdaRowMajor, 64, 34596u, 0xfce0abe7aae62b10ULL},
+    {"ssyr2k", GoldenMode::MdaRowMajorColRows, 61, 922808u,
+     0x0cbd637d203f1f2aULL},
+    {"ssyr2k", GoldenMode::MdaRowMajorColRows, 64, 1064960u,
+     0xb20140d555d2c295ULL},
+    {"stream", GoldenMode::MdaRowMajorColRows, 61, 17080u,
+     0x65930378803faaf7ULL},
+    {"stream", GoldenMode::MdaRowMajorColRows, 64, 18688u,
+     0xf3e00b6894cf73d2ULL},
+};
+
+TEST(TraceGen, GoldenOpStreamDigests)
+{
+    const char *mode_names[] = {"Baseline", "Mda", "MdaRowMajor",
+                                "MdaRowMajorColRows"};
+    for (const GoldenStream &g : goldenStreams) {
+        SCOPED_TRACE(std::string(g.workload) + " " +
+                     mode_names[static_cast<int>(g.mode)] + " n=" +
+                     std::to_string(g.n));
+        auto [ops, digest] =
+            streamDigest(compileGolden(g.workload, g.mode, g.n));
+        EXPECT_EQ(ops, g.ops);
+        EXPECT_EQ(digest, g.digest);
+    }
 }
 
 } // namespace

@@ -95,32 +95,30 @@ parseMetaCount(const std::string &meta, const std::string &key)
 }
 
 RunSpec
-sampledSpec(const Scenario &sc)
+sampledSpec(const Scenario &sc,
+            DesignPoint design = DesignPoint::D1_1P2L)
 {
     RunSpec spec;
     spec.workload = sc.workload;
     spec.n = sc.n;
-    spec.system.design = DesignPoint::D1_1P2L;
+    spec.system.design = design;
     spec.system.samplePeriod = sc.period;
     spec.system.sampleWindow = sc.window;
     return spec;
 }
 
-class SamplingAccuracy : public ::testing::TestWithParam<Scenario>
+/** The accuracy contract for one scenario on @p design. */
+void
+expectEstimatesInsideConfidenceIntervals(const Scenario &sc,
+                                         DesignPoint design)
 {
-};
-
-TEST_P(SamplingAccuracy, EstimatesInsideConfidenceIntervals)
-{
-    const Scenario sc = GetParam();
-
-    RunSpec full_spec = sampledSpec(sc);
+    RunSpec full_spec = sampledSpec(sc, design);
     full_spec.system.samplePeriod = 0;
     full_spec.system.sampleWindow = 0;
     PreparedRun full(full_spec);
     full.system.run();
 
-    PreparedRun sampled(sampledSpec(sc));
+    PreparedRun sampled(sampledSpec(sc, design));
     sampled.system.run();
 
     const std::string meta =
@@ -166,14 +164,39 @@ TEST_P(SamplingAccuracy, EstimatesInsideConfidenceIntervals)
                      static_cast<double>(total));
 }
 
-TEST_P(SamplingAccuracy, Deterministic)
+void
+expectDeterministic(const Scenario &sc, DesignPoint design)
 {
-    PreparedRun a(sampledSpec(GetParam()));
+    PreparedRun a(sampledSpec(sc, design));
     a.system.run();
-    PreparedRun b(sampledSpec(GetParam()));
+    PreparedRun b(sampledSpec(sc, design));
     b.system.run();
     EXPECT_EQ(a.system.statGroup().meta("sampling"),
               b.system.statGroup().meta("sampling"));
+}
+
+std::string
+scenarioName(const ::testing::TestParamInfo<Scenario> &param_info)
+{
+    return std::string(param_info.param.workload) + "_p" +
+           std::to_string(param_info.param.period) + "w" +
+           std::to_string(param_info.param.window);
+}
+
+/** 1P2L: the Different-Set functional walk, duplicates included. */
+class SamplingAccuracy : public ::testing::TestWithParam<Scenario>
+{
+};
+
+TEST_P(SamplingAccuracy, EstimatesInsideConfidenceIntervals)
+{
+    expectEstimatesInsideConfidenceIntervals(GetParam(),
+                                             DesignPoint::D1_1P2L);
+}
+
+TEST_P(SamplingAccuracy, Deterministic)
+{
+    expectDeterministic(GetParam(), DesignPoint::D1_1P2L);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -187,11 +210,54 @@ INSTANTIATE_TEST_SUITE_P(
         // Pure streaming: maximal fill traffic, the case that pins
         // the symmetric window-boundary measurement.
         Scenario{"stream", 128, 400, 100}),
-    [](const ::testing::TestParamInfo<Scenario> &param_info) {
-        return std::string(param_info.param.workload) + "_p" +
-               std::to_string(param_info.param.period) + "w" +
-               std::to_string(param_info.param.window);
-    });
+    scenarioName);
+
+/**
+ * spmv, the direct-emitter workload, is held to determinism only: it
+ * misses the accuracy contract at every size and sampling design tried
+ * (n 64-256, periods 400-10000, windows 100-1000). At n = 128, period
+ * 1000, window 100, l1.demandMisses is estimated at 11393 against the
+ * full run's 12232 (-6.9%) and l2.demandHits at 1472 against 2082
+ * (-29%), both outside their CIs. The cause is not established (see
+ * ROADMAP.md).
+ */
+class EmitterSampling : public ::testing::TestWithParam<Scenario>
+{
+};
+
+TEST_P(EmitterSampling, Deterministic)
+{
+    expectDeterministic(GetParam(), DesignPoint::D1_1P2L);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, EmitterSampling,
+                         ::testing::Values(Scenario{"spmv", 128, 1000,
+                                                    100}),
+                         scenarioName);
+
+/** 1P1L: the prefetcher trains in fast-forward too, and its
+ *  candidates fill functionally. At n = 48 this cell's rare writeback
+ *  counters (l3.writebacksOut and mem.writeReqs, 341 in the full run,
+ *  estimated at 428) miss their CIs, as mem.rowBufHits would. */
+class BaselineSamplingAccuracy : public ::testing::TestWithParam<Scenario>
+{
+};
+
+TEST_P(BaselineSamplingAccuracy, EstimatesInsideConfidenceIntervals)
+{
+    expectEstimatesInsideConfidenceIntervals(GetParam(),
+                                             DesignPoint::D0_1P1L);
+}
+
+TEST_P(BaselineSamplingAccuracy, Deterministic)
+{
+    expectDeterministic(GetParam(), DesignPoint::D0_1P1L);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, BaselineSamplingAccuracy,
+                         ::testing::Values(Scenario{"sgemm", 64, 10000,
+                                                    1000}),
+                         scenarioName);
 
 RunSpec
 tinySampled()
@@ -232,10 +298,28 @@ TEST(SamplingDeathTest, RejectsIntervalStats)
                 "tick-driven");
 }
 
+TEST(SamplingDeathTest, RejectsOccupancySampler)
+{
+    RunSpec spec = tinySampled();
+    spec.system.occupancySamplePeriod = 100;
+    EXPECT_EXIT(PreparedRun run(spec), ::testing::ExitedWithCode(1),
+                "tick-driven");
+}
+
 TEST(SamplingDeathTest, RejectsOversizedWindow)
 {
     RunSpec spec = tinySampled();
     spec.system.sampleWindow = 501; // warm+window > period
+    EXPECT_EXIT(PreparedRun run(spec), ::testing::ExitedWithCode(1),
+                "twice the window");
+}
+
+TEST(SamplingDeathTest, RejectsWindowWhoseDoubleWraps)
+{
+    // 2 * 2^63 wraps to 0 in 64 bits, which once passed the check.
+    RunSpec spec = tinySampled();
+    spec.system.samplePeriod = 100;
+    spec.system.sampleWindow = std::uint64_t{1} << 63;
     EXPECT_EXIT(PreparedRun run(spec), ::testing::ExitedWithCode(1),
                 "twice the window");
 }
