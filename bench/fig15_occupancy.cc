@@ -27,7 +27,7 @@ printSeries(PreparedRun &sampled, const std::string &workload)
     std::vector<const stats::TimeSeries *> series;
     for (std::size_t lvl = 0; lvl < 3; ++lvl) {
         series.push_back(&sampled.system.statGroup().timeSeries(
-            System::levelName(lvl) + ".colOccupancy"));
+            levelName(lvl) + ".colOccupancy"));
     }
     std::size_t points = series[0]->points().size();
     std::size_t stride = std::max<std::size_t>(points / 24, 1);

@@ -98,22 +98,6 @@ parseBytes(const std::string &text)
                                       static_cast<double>(mult));
 }
 
-DesignPoint
-parseDesign(const std::string &name)
-{
-    if (name == "1P1L")
-        return DesignPoint::D0_1P1L;
-    if (name == "1P2L")
-        return DesignPoint::D1_1P2L;
-    if (name == "1P2L_SameSet")
-        return DesignPoint::D1_1P2L_SameSet;
-    if (name == "2P2L")
-        return DesignPoint::D2_2P2L;
-    if (name == "2P2L_Dense")
-        return DesignPoint::D2_2P2L_Dense;
-    fatal("unknown design: %s (try --help)", name.c_str());
-}
-
 } // namespace
 
 int
@@ -144,7 +128,9 @@ main(int argc, char **argv)
             jobs = sweep::parseJobs("--jobs", next());
             jobs_given = true;
         } else if (arg == "--design") {
-            spec.system.design = parseDesign(next());
+            std::string name = next();
+            if (!designFromName(name, spec.system.design))
+                fatal("unknown design: %s (try --help)", name.c_str());
         } else if (arg == "--n") {
             spec.n = std::stoll(next());
         } else if (arg == "--paper") {

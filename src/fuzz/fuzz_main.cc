@@ -116,11 +116,6 @@ parseArgs(int argc, char **argv)
                 DesignPoint d;
                 if (!designFromName(item, d))
                     fatal("unknown design point '%s'", item.c_str());
-                if (d == DesignPoint::D3_2P2L_L1) {
-                    fatal("Design 3 (2P2L L1) is deferred to future "
-                          "work in the paper and not implemented; "
-                          "pick another design point");
-                }
                 opts.campaign.designFilter.push_back(d);
             }
             if (opts.campaign.designFilter.empty())

@@ -3,13 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "core/line_cache.hh"
-#include "core/tile_cache.hh"
-#include "mem/mda_memory.hh"
+#include "harness/hierarchy.hh"
 #include "reference_model.hh"
-#include "sim/event_queue.hh"
-#include "sim/packet_pool.hh"
-#include "sim/stats.hh"
 
 namespace mda::fuzz
 {
@@ -32,30 +27,38 @@ class FuzzCpu : public MemClient
     std::vector<PacketPtr> responses;
 };
 
-/** Per-level CacheConfig realizing a LevelSpec for one design. */
-CacheConfig
-levelConfig(const FuzzConfig &cfg, std::size_t n, DesignPoint design)
+/** The scenario's hierarchy under @p design: its tiny geometries with
+ *  1+n latencies, degree-2 baseline prefetching, and the shadow-map
+ *  audit whenever the per-event checks run. */
+std::vector<LevelSpec>
+levelSpecs(DesignPoint design, const Scenario &s,
+           const OracleOptions &opts)
 {
-    const LevelSpec &spec = cfg.levels[n];
-    bool is_llc = (n + 1 == cfg.levels.size());
-    CacheConfig c;
-    c.sizeBytes = spec.sizeBytes;
-    c.ways = spec.ways;
-    c.mshrs = spec.mshrs;
-    c.targetsPerMshr = spec.targetsPerMshr;
-    c.writeBufferSize = spec.writeBufferSize;
-    // Small fixed latencies keep runs fast while still interleaving
-    // events across levels; L1 keeps the parallel tag/data shape.
-    c.tagLatency = static_cast<Cycles>(1 + n);
-    c.dataLatency = static_cast<Cycles>(1 + n);
-    c.parallelTagData = (n == 0);
-    if (cfg.gatherHits && n > 0)
-        c.gatherHits = true;
-    if (design == DesignPoint::D0_1P1L && cfg.prefetch && !is_llc) {
-        c.prefetch = true;
-        c.prefetchDegree = 2;
+    SystemConfig knobs;
+    knobs.design = design;
+    knobs.prefetchDegree = s.config.prefetch ? 2 : 0;
+    knobs.gatherHits = s.config.gatherHits;
+    knobs.tileWritePenalty = s.config.tileWritePenalty;
+    std::vector<CacheConfig> caches;
+    for (const LevelGeometry &geom : s.config.levels) {
+        CacheConfig c;
+        c.sizeBytes = geom.sizeBytes;
+        c.ways = geom.ways;
+        c.mshrs = geom.mshrs;
+        c.targetsPerMshr = geom.targetsPerMshr;
+        c.writeBufferSize = geom.writeBufferSize;
+        // Small fixed latencies keep runs fast while still
+        // interleaving events across levels; L1 keeps the parallel
+        // tag/data shape.
+        c.tagLatency = static_cast<Cycles>(1 + caches.size());
+        c.dataLatency = c.tagLatency;
+        c.parallelTagData = caches.empty();
+        caches.push_back(c);
     }
-    return c;
+    std::vector<LevelSpec> specs = specsFor(knobs, caches);
+    for (LevelSpec &spec : specs)
+        spec.shadowAudit = opts.checks;
+    return specs;
 }
 
 /** One design point's private hierarchy plus the replay engine. */
@@ -65,55 +68,9 @@ class DesignRun
     DesignRun(DesignPoint design, const Scenario &s,
               const OracleOptions &opts)
         : _design(design), _scenario(s), _opts(opts),
-          _mem(std::make_unique<MdaMemory>(
-              "mem", _eq, _sg, MemTimingParams::sttDefault(),
-              MemTopologyParams{}))
+          _hier(_eq, _sg, levelSpecs(design, s, opts))
     {
-        const FuzzConfig &cfg = s.config;
-        bool tile_llc = (design == DesignPoint::D2_2P2L ||
-                         design == DesignPoint::D2_2P2L_Dense);
-        auto fill = (design == DesignPoint::D2_2P2L_Dense)
-                        ? TileFillPolicy::Dense
-                        : TileFillPolicy::Sparse;
-        LineMapping mapping = LineMapping::TwoDDiffSet;
-        if (design == DesignPoint::D0_1P1L)
-            mapping = LineMapping::OneD;
-        else if (design == DesignPoint::D1_1P2L_SameSet)
-            mapping = LineMapping::TwoDSameSet;
-
-        for (std::size_t n = 0; n < cfg.levels.size(); ++n) {
-            CacheConfig c = levelConfig(cfg, n, design);
-            std::string name = "l" + std::to_string(n + 1);
-            bool is_llc = (n + 1 == cfg.levels.size());
-            if (is_llc && tile_llc) {
-                auto tile = std::make_unique<TileCache>(name, _eq, _sg,
-                                                        c, fill);
-                tile->setWritePenalty(cfg.tileWritePenalty);
-                _levels.push_back(std::move(tile));
-            } else {
-                auto line_cache = std::make_unique<LineCache>(
-                    name, _eq, _sg, c, mapping);
-                // With checks on, every invariant sweep also audits
-                // the SoA tag arrays against the debug shadow map —
-                // a tag update that skipped the bookkeeping surfaces
-                // as a named divergence.
-                if (opts.checks)
-                    line_cache->storage().enableShadow();
-                _levels.push_back(std::move(line_cache));
-            }
-        }
-        for (std::size_t n = 0; n < _levels.size(); ++n) {
-            MemDevice *below =
-                (n + 1 < _levels.size())
-                    ? static_cast<MemDevice *>(_levels[n + 1].get())
-                    : static_cast<MemDevice *>(_mem.get());
-            _levels[n]->setDownstream(below);
-            below->setUpstream(_levels[n].get());
-        }
-        _levels.front()->setUpstream(&_cpu);
-        for (auto &level : _levels)
-            level->setPacketPool(&_pool);
-        _mem->setPacketPool(&_pool);
+        _hier.attach(_cpu);
     }
 
     const std::vector<Failure> &failures() const { return _failures; }
@@ -175,7 +132,7 @@ class DesignRun
         for (Addr addr : touched) {
             auto pkt = Packet::makeScalar(MemCmd::Read, addr,
                                           Orientation::Row, 0,
-                                          _eq.curTick(), &_pool);
+                                          _eq.curTick(), &_hier.pool());
             if (!send(std::move(pkt), npos) || !runToQuiescence(npos))
                 return false;
             if (_cpu.responses.size() != 1) {
@@ -210,7 +167,7 @@ class DesignRun
     bool
     finishChecks()
     {
-        for (const auto &cache : _levels) {
+        for (const auto &cache : _hier.levels()) {
             for (std::string &v : cache->checkDrained())
                 fail(FailureKind::DrainLeak, npos, std::move(v));
         }
@@ -242,7 +199,7 @@ class DesignRun
             {kind, _design, std::move(detail), op_index});
     }
 
-    MemDevice &top() { return *_levels.front(); }
+    MemDevice &top() { return _hier.top(); }
 
     bool
     budgetExceeded(std::size_t op_index)
@@ -258,7 +215,7 @@ class DesignRun
     bool
     sweepInvariants(std::size_t op_index)
     {
-        for (const auto &cache : _levels) {
+        for (const auto &cache : _hier.levels()) {
             std::vector<std::string> v = cache->checkInvariants();
             if (!v.empty()) {
                 fail(FailureKind::Invariant, op_index,
@@ -307,14 +264,14 @@ class DesignRun
         auto pc = static_cast<std::uint32_t>(i + 1);
         if (op.vector) {
             auto pkt = Packet::makeVector(cmd, op.line(), pc,
-                                          _eq.curTick(), &_pool);
+                                          _eq.curTick(), &_hier.pool());
             if (op.write)
                 for (unsigned k = 0; k < lineWords; ++k)
                     pkt->setWord(k, writeValue(_scenario.seed, i, k));
             return pkt;
         }
         auto pkt = Packet::makeScalar(cmd, op.addr, op.orient, pc,
-                                      _eq.curTick(), &_pool);
+                                      _eq.curTick(), &_hier.pool());
         if (op.write)
             pkt->setWord(0, writeValue(_scenario.seed, i, 0));
         return pkt;
@@ -399,13 +356,10 @@ class DesignRun
     EventQueue _eq;
     stats::StatGroup _sg;
 
-    /** Declared before the packet-holding components (cpu, caches,
-     *  memory) so they drop their packets while the slabs live. */
-    PacketPool _pool;
-
+    /** Declared before the CPU so it drops the responses it holds
+     *  while the hierarchy's pool is still alive. */
+    Hierarchy _hier;
     FuzzCpu _cpu;
-    std::vector<std::unique_ptr<CacheBase>> _levels;
-    std::unique_ptr<MdaMemory> _mem;
 
     std::uint64_t _steps = 0;
     std::vector<Failure> _failures;
@@ -481,11 +435,6 @@ runOracle(const Scenario &s, const OracleOptions &opts)
     if (s.trace.empty())
         fatal("fuzz scenario has an empty trace");
     for (DesignPoint d : s.config.designs) {
-        if (d == DesignPoint::D3_2P2L_L1) {
-            fatal("Design 3 (2P2L L1) is deferred to future work in "
-                  "the paper and not implemented; pick another design "
-                  "point");
-        }
         if (!designApplicable(d, s.trace)) {
             fatal("design %s cannot express this trace's column "
                   "vector ops", designName(d));

@@ -3,9 +3,9 @@
  * Differential oracle: run one fuzz scenario over every requested
  * design point and cross-check behavior.
  *
- * For each design point the oracle builds a private hierarchy
- * (EventQueue + caches + MDA memory, mirroring System::buildCaches),
- * replays the trace, and checks:
+ * For each design point the oracle builds a private Hierarchy from
+ * specsFor(), the builder System uses, over the scenario's tiny
+ * geometries; it replays the trace and checks:
  *
  *  - every read response against the program-order reference model
  *    (writes always serialize, so the reference is exact even for
@@ -99,7 +99,7 @@ std::size_t answeredOp(const std::vector<std::uint64_t> &sent,
 /**
  * Run the full differential oracle over @p s. Returns every failure
  * found (empty == the scenario passes). fatal()s on unusable input:
- * an inapplicable or unimplemented design point, or no levels.
+ * an inapplicable design point, or no levels.
  */
 std::vector<Failure> runOracle(const Scenario &s,
                                const OracleOptions &opts);

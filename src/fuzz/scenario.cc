@@ -32,10 +32,10 @@ drawWays(Rng &rng, std::uint64_t size_bytes, bool tile_capable)
     return ways;
 }
 
-LevelSpec
+LevelGeometry
 drawLevel(Rng &rng, std::uint64_t size_bytes, bool tile_capable)
 {
-    LevelSpec spec;
+    LevelGeometry spec;
     spec.sizeBytes = size_bytes;
     spec.ways = drawWays(rng, size_bytes, tile_capable);
     spec.mshrs = 2u << rng.below(3);          // 2, 4, or 8
@@ -140,21 +140,6 @@ generateScenario(std::uint64_t seed, const GenLimits &limits)
     return s;
 }
 
-bool
-designFromName(const std::string &name, DesignPoint &out)
-{
-    for (DesignPoint d :
-         {DesignPoint::D0_1P1L, DesignPoint::D1_1P2L,
-          DesignPoint::D1_1P2L_SameSet, DesignPoint::D2_2P2L,
-          DesignPoint::D2_2P2L_Dense, DesignPoint::D3_2P2L_L1}) {
-        if (name == designName(d)) {
-            out = d;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string
 reproText(const Scenario &s)
 {
@@ -174,7 +159,7 @@ reproText(const Scenario &s)
            << s.config.sampleWindow << "\n";
     }
     os << "levels " << s.config.levels.size() << "\n";
-    for (const LevelSpec &lvl : s.config.levels) {
+    for (const LevelGeometry &lvl : s.config.levels) {
         os << "level " << lvl.sizeBytes << " " << lvl.ways << " "
            << lvl.mshrs << " " << lvl.targetsPerMshr << " "
            << lvl.writeBufferSize << "\n";
@@ -249,7 +234,7 @@ parseRepro(const std::string &text)
                 expect_levels > 3)
                 bad("bad levels count");
         } else if (key == "level") {
-            LevelSpec lvl;
+            LevelGeometry lvl;
             if (!(ls >> lvl.sizeBytes >> lvl.ways >> lvl.mshrs >>
                   lvl.targetsPerMshr >> lvl.writeBufferSize) ||
                 lvl.ways == 0 || lvl.mshrs == 0 ||

@@ -55,7 +55,7 @@ struct TraceOp
 };
 
 /** Geometry and resources of one cache level (CPU side first). */
-struct LevelSpec
+struct LevelGeometry
 {
     std::uint64_t sizeBytes = 1024;
     unsigned ways = 2;
@@ -67,7 +67,7 @@ struct LevelSpec
 /** The hierarchy/policy half of a scenario. */
 struct FuzzConfig
 {
-    std::vector<LevelSpec> levels; ///< 1-3 entries, CPU side first.
+    std::vector<LevelGeometry> levels; ///< 1-3 entries, CPU side first.
 
     /** Design points the oracle runs over this trace. */
     std::vector<DesignPoint> designs;
@@ -121,10 +121,6 @@ struct GenLimits
 
 /** Deterministically generate the scenario for @p seed. */
 Scenario generateScenario(std::uint64_t seed, const GenLimits &limits);
-
-/** Design-point lookup by figure name ("1P2L", "2P2L_Dense", ...).
- *  Returns false when @p name matches no design. */
-bool designFromName(const std::string &name, DesignPoint &out);
 
 /** Serialize @p s to the repro text format (round trips). */
 std::string reproText(const Scenario &s);

@@ -8,11 +8,27 @@
 namespace mda
 {
 
-std::string
-System::levelName(std::size_t idx)
+namespace
 {
-    return "l" + std::to_string(idx + 1);
+
+/** Table I caches (Section IV-C sizes) for @p config: L1, L2 and,
+ *  unless two-level, L3. */
+std::vector<CacheConfig>
+tableICaches(const SystemConfig &config)
+{
+    CacheConfig l1 = CacheConfig::l1D();
+    l1.sizeBytes = config.l1Size;
+    std::vector<CacheConfig> caches{l1, CacheConfig::l2(config.l2Size)};
+    if (config.threeLevel)
+        caches.push_back(CacheConfig::l3(config.l3Size));
+    if (config.disableMshrCoalescing) {
+        for (CacheConfig &c : caches)
+            c.targetsPerMshr = 1;
+    }
+    return caches;
 }
+
+} // namespace
 
 System::System(const SystemConfig &config,
                const compiler::CompiledKernel &kernel)
@@ -21,7 +37,10 @@ System::System(const SystemConfig &config,
 
 System::System(const SystemConfig &config,
                std::unique_ptr<trace::TraceSource> source)
-    : _config(config), _source(std::move(source))
+    : _config(config),
+      _hier(_eq, _stats, specsFor(config, tableICaches(config)),
+            config.memTiming, config.memTopo),
+      _source(std::move(source))
 {
     if (config.sampling()) {
         if (config.sampleWindow == 0 ||
@@ -47,44 +66,26 @@ System::System(const SystemConfig &config,
                   "fast-forwarded intervals would skew the series");
         }
     }
-    _memory = std::make_unique<MdaMemory>(
-        "mem", _eq, _stats, config.memTiming, config.memTopo);
-    buildCaches(config);
-
-    // Wire the chain: levels[0] ... levels[n-1] -> memory.
-    for (std::size_t n = 0; n < _levels.size(); ++n) {
-        MemDevice *below =
-            (n + 1 < _levels.size())
-                ? static_cast<MemDevice *>(_levels[n + 1])
-                : static_cast<MemDevice *>(_memory.get());
-        _levels[n]->setDownstream(below);
-        below->setUpstream(_levels[n]);
-    }
+    const auto &levels = _hier.levels();
 
     CpuParams cpu_params;
     cpu_params.maxOutstanding = config.maxOutstanding;
     cpu_params.checkData = config.checkData;
     _cpu = std::make_unique<TraceCpu>("cpu", _eq, _stats, *_source,
-                                      *_levels.front(), cpu_params);
-    _levels.front()->setUpstream(_cpu.get());
-
-    _cpu->setPacketPool(&_pool);
-    for (auto &cache : _caches)
-        cache->setPacketPool(&_pool);
-    _memory->setPacketPool(&_pool);
+                                      _hier.top(), cpu_params);
+    _hier.attach(*_cpu);
+    _cpu->setPacketPool(&_hier.pool());
 
     // Every component exposes its packet-lifecycle probe points
     // unconditionally; with no listeners each fire site is a single
     // predicted-false branch.
     _cpu->regProbes(_probes);
-    for (auto &cache : _caches)
-        cache->regProbes(_probes);
-    _memory->regProbes(_probes);
+    _hier.regProbes(_probes);
 
     if (config.telemetry) {
         std::vector<std::string> telem_levels;
-        for (std::size_t n = 0; n < _levels.size(); ++n)
-            telem_levels.push_back(levelName(n));
+        for (const auto &cache : levels)
+            telem_levels.push_back(cache->name());
         telem_levels.push_back("mem");
         _telemetry = std::make_unique<telemetry::LatencyAccountant>(
             _probes, _stats, telem_levels);
@@ -93,119 +94,39 @@ System::System(const SystemConfig &config,
     if (config.statsInterval > 0) {
         _interval = std::make_unique<stats::IntervalStats>(
             _stats, _eq, config.statsInterval);
-        for (std::size_t n = 0; n < _levels.size(); ++n) {
-            if (auto *line = dynamic_cast<LineCache *>(_levels[n])) {
+        for (std::size_t n = 0; n < levels.size(); ++n) {
+            const std::string &name = levels[n]->name();
+            if (LineCache *line = _hier.lineCache(n)) {
                 _interval->addGauge(
-                    levelName(n) + ".colOccupancy",
+                    name + ".colOccupancy",
                     [line] { return line->colOccupancy(); });
-            } else if (auto *tile =
-                           dynamic_cast<TileCache *>(_levels[n])) {
-                _interval->addGauge(
-                    levelName(n) + ".presentWords", [tile] {
-                        return static_cast<double>(
-                            tile->presentWords());
-                    });
+            } else if (TileCache *tile = _hier.tileCache(n)) {
+                _interval->addGauge(name + ".presentWords", [tile] {
+                    return static_cast<double>(tile->presentWords());
+                });
             }
         }
     }
 
-    // Self-description for archived stats (satellite: meta block).
+    // Self-description for archived stats.
     _stats.setMeta("design", designName(config.design));
-    _stats.setMeta("levels", std::to_string(_levels.size()));
-    _stats.setMeta("llc", _llcName);
+    _stats.setMeta("levels", std::to_string(levels.size()));
+    _stats.setMeta("llc", levels.back()->name());
 
-    // Fig. 15 occupancy series, one per LineCache level.
-    _occupancy.resize(_levels.size());
-    for (std::size_t n = 0; n < _levels.size(); ++n) {
-        _stats.regTimeSeries(levelName(n) + ".colOccupancy",
+    // Fig. 15 occupancy series, one per level.
+    _occupancy.resize(levels.size());
+    for (std::size_t n = 0; n < levels.size(); ++n) {
+        _stats.regTimeSeries(levels[n]->name() + ".colOccupancy",
                              &_occupancy[n],
                              "column-line occupancy over time");
     }
 }
 
 void
-System::buildCaches(const SystemConfig &config)
-{
-    unsigned levels = config.threeLevel ? 3 : 2;
-
-    CacheConfig l1 = CacheConfig::l1D();
-    l1.sizeBytes = config.l1Size;
-    CacheConfig l2 = CacheConfig::l2(config.l2Size);
-    CacheConfig l3 = CacheConfig::l3(config.l3Size);
-    if (config.disableMshrCoalescing) {
-        l1.targetsPerMshr = 1;
-        l2.targetsPerMshr = 1;
-        l3.targetsPerMshr = 1;
-    }
-
-    auto line_mapping = LineMapping::TwoDDiffSet;
-    bool tile_llc = false;
-    auto tile_fill = TileFillPolicy::Sparse;
-    bool prefetch = false;
-    switch (config.design) {
-      case DesignPoint::D0_1P1L:
-        line_mapping = LineMapping::OneD;
-        prefetch = (config.prefetchDegree > 0);
-        break;
-      case DesignPoint::D1_1P2L:
-        line_mapping = LineMapping::TwoDDiffSet;
-        break;
-      case DesignPoint::D1_1P2L_SameSet:
-        line_mapping = LineMapping::TwoDSameSet;
-        break;
-      case DesignPoint::D2_2P2L:
-        line_mapping = LineMapping::TwoDDiffSet;
-        tile_llc = true;
-        break;
-      case DesignPoint::D2_2P2L_Dense:
-        line_mapping = LineMapping::TwoDDiffSet;
-        tile_llc = true;
-        tile_fill = TileFillPolicy::Dense;
-        break;
-      case DesignPoint::D3_2P2L_L1:
-        fatal("Design 3 (2P2L L1) is deferred to future work in the "
-              "paper and not implemented; pick another design point");
-    }
-
-    std::vector<CacheConfig> cfgs;
-    cfgs.push_back(l1);
-    cfgs.push_back(l2);
-    if (levels == 3)
-        cfgs.push_back(l3);
-
-    for (unsigned n = 0; n < levels; ++n) {
-        CacheConfig cfg = cfgs[n];
-        bool is_llc = (n + 1 == levels);
-        if (prefetch && !is_llc) {
-            cfg.prefetch = true;
-            cfg.prefetchDegree = config.prefetchDegree;
-        }
-        if (config.gatherHits && n > 0)
-            cfg.gatherHits = true;
-        std::string name = levelName(n);
-        if (is_llc && tile_llc) {
-            auto tile = std::make_unique<TileCache>(name, _eq, _stats,
-                                                    cfg, tile_fill);
-            tile->setWritePenalty(config.tileWritePenalty);
-            _levels.push_back(tile.get());
-            _caches.push_back(std::move(tile));
-        } else {
-            auto cache = std::make_unique<LineCache>(
-                name, _eq, _stats, cfg, line_mapping);
-            _levels.push_back(cache.get());
-            _caches.push_back(std::move(cache));
-        }
-        if (is_llc)
-            _llcName = name;
-    }
-}
-
-void
 System::sampleOccupancy()
 {
-    for (std::size_t n = 0; n < _levels.size(); ++n) {
-        auto *line = dynamic_cast<LineCache *>(_levels[n]);
-        if (line)
+    for (std::size_t n = 0; n < _occupancy.size(); ++n) {
+        if (LineCache *line = _hier.lineCache(n))
             _occupancy[n].sample(_eq.curTick(), line->colOccupancy());
     }
     if (!_cpu->done()) {
@@ -283,9 +204,10 @@ System::distill() const
     double l1_acc = _stats.scalar("l1.demandAccesses");
     result.l1HitRate =
         l1_acc > 0 ? _stats.scalar("l1.demandHits") / l1_acc : 0.0;
+    const std::string &llc = _hier.levels().back()->name();
     result.llcAccesses = static_cast<std::uint64_t>(
-        _stats.scalar(_llcName + ".demandAccesses") +
-        _stats.scalar(_llcName + ".writebacksIn"));
+        _stats.scalar(llc + ".demandAccesses") +
+        _stats.scalar(llc + ".writebacksIn"));
     result.memBytes = static_cast<std::uint64_t>(
         _stats.scalar("mem.bytesRead") +
         _stats.scalar("mem.bytesWritten"));

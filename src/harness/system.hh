@@ -10,11 +10,8 @@
 #include <vector>
 
 #include "compiler/compile.hh"
-#include "core/line_cache.hh"
-#include "core/tile_cache.hh"
-#include "mem/mda_memory.hh"
+#include "hierarchy.hh"
 #include "sim/interval_stats.hh"
-#include "sim/packet_pool.hh"
 #include "sim/probe.hh"
 #include "system_config.hh"
 #include "telemetry.hh"
@@ -63,8 +60,8 @@ class System
     stats::StatGroup &statGroup() { return _stats; }
     EventQueue &eventQueue() { return _eq; }
     TraceCpu &cpu() { return *_cpu; }
-    MdaMemory &memory() { return *_memory; }
-    PacketPool &packetPool() { return _pool; }
+    MdaMemory &memory() { return _hier.memory(); }
+    PacketPool &packetPool() { return _hier.pool(); }
 
     /** Packet-lifecycle probe points, by name ("l1.accepted", ...). */
     probe::ProbeManager &probeManager() { return _probes; }
@@ -82,17 +79,7 @@ class System
         return _interval ? _interval->json() : std::string();
     }
 
-    /** LineCache levels, CPU side first (empty slots for TileCache). */
-    const std::vector<CacheBase *> &cacheLevels() const
-    {
-        return _levels;
-    }
-
-    /** Fig. 15 occupancy series name for level @p idx ("l1", ...). */
-    static std::string levelName(std::size_t idx);
-
   private:
-    void buildCaches(const SystemConfig &config);
     void sampleOccupancy();
 
     /** SMARTS loop: alternate measured windows with functional
@@ -106,15 +93,10 @@ class System
     EventQueue _eq;
     stats::StatGroup _stats;
 
-    /** Declared before every packet-holding component so those are
-     *  destroyed (and release their packets) while the pool's slabs
-     *  are still alive. */
-    PacketPool _pool;
-
+    /** Declared before the CPU so it releases its packets while the
+     *  hierarchy's pool is still alive. */
+    Hierarchy _hier;
     std::unique_ptr<trace::TraceSource> _source;
-    std::vector<std::unique_ptr<CacheBase>> _caches;
-    std::vector<CacheBase *> _levels;
-    std::unique_ptr<MdaMemory> _memory;
     std::unique_ptr<TraceCpu> _cpu;
 
     /** Declared after the components so listeners detach before the
@@ -124,7 +106,6 @@ class System
     std::unique_ptr<stats::IntervalStats> _interval;
 
     std::vector<stats::TimeSeries> _occupancy;
-    std::string _llcName;
 };
 
 } // namespace mda

@@ -25,7 +25,6 @@ enum class DesignPoint : std::uint8_t
     D1_1P2L_SameSet, ///< 1P2L with Same-Set mapping at every level.
     D2_2P2L,         ///< 1P2L L1/L2 with a sparse 2P2L LLC.
     D2_2P2L_Dense,   ///< Same, with the dense block-fill policy.
-    D3_2P2L_L1,      ///< 2P2L L1 (explicitly deferred by the paper).
 };
 
 /** Display name matching the paper's figures. */
@@ -38,9 +37,28 @@ designName(DesignPoint d)
       case DesignPoint::D1_1P2L_SameSet: return "1P2L_SameSet";
       case DesignPoint::D2_2P2L: return "2P2L";
       case DesignPoint::D2_2P2L_Dense: return "2P2L_Dense";
-      case DesignPoint::D3_2P2L_L1: return "2P2L_L1";
     }
     return "?";
+}
+
+/** Design point named @p name by designName(); false when @p name
+ *  names none. Fatal for the paper's deferred Design 3. */
+inline bool
+designFromName(const std::string &name, DesignPoint &out)
+{
+    if (name == "2P2L_L1")
+        fatal("Design 3 (2P2L L1) is deferred to future work in the "
+              "paper and not implemented; pick another design point");
+    for (DesignPoint d :
+         {DesignPoint::D0_1P1L, DesignPoint::D1_1P2L,
+          DesignPoint::D1_1P2L_SameSet, DesignPoint::D2_2P2L,
+          DesignPoint::D2_2P2L_Dense}) {
+        if (name == designName(d)) {
+            out = d;
+            return true;
+        }
+    }
+    return false;
 }
 
 /** Where the CPU's operation stream comes from (see src/trace/). */

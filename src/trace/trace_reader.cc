@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -13,38 +12,21 @@
 namespace mda::trace
 {
 
-namespace
+TraceReader::TraceReader(const std::string &path) : _path(path)
 {
-
-constexpr std::size_t streamWindowBytes = 1u << 16;
-
-} // namespace
-
-TraceReader::TraceReader(const std::string &path, Mode mode)
-    : _path(path), _mode(mode)
-{
-    if (_mode == Mode::Mmap) {
-        _fd = ::open(path.c_str(), O_RDONLY);
-        if (_fd < 0)
-            fatal("cannot open trace file: %s", path.c_str());
-        struct stat st;
-        if (::fstat(_fd, &st) != 0)
-            fatal("cannot stat trace file: %s", path.c_str());
-        _fileBytes = static_cast<std::uint64_t>(st.st_size);
-        if (_fileBytes > 0) {
-            void *map = ::mmap(nullptr, _fileBytes, PROT_READ,
-                               MAP_PRIVATE, _fd, 0);
-            if (map == MAP_FAILED)
-                fatal("cannot mmap trace file: %s", path.c_str());
-            _map = static_cast<const unsigned char *>(map);
-        }
-    } else {
-        _in.open(path, std::ios::binary);
-        if (!_in)
-            fatal("cannot open trace file: %s", path.c_str());
-        _in.seekg(0, std::ios::end);
-        _fileBytes = static_cast<std::uint64_t>(_in.tellg());
-        _in.seekg(0);
+    _fd = ::open(path.c_str(), O_RDONLY);
+    if (_fd < 0)
+        fatal("cannot open trace file: %s", path.c_str());
+    struct stat st;
+    if (::fstat(_fd, &st) != 0)
+        fatal("cannot stat trace file: %s", path.c_str());
+    _fileBytes = static_cast<std::uint64_t>(st.st_size);
+    if (_fileBytes > 0) {
+        void *map = ::mmap(nullptr, _fileBytes, PROT_READ, MAP_PRIVATE,
+                           _fd, 0);
+        if (map == MAP_FAILED)
+            fatal("cannot mmap trace file: %s", path.c_str());
+        _map = static_cast<const unsigned char *>(map);
     }
     validate();
 }
@@ -66,13 +48,7 @@ TraceReader::validate()
               traceHeaderBytes);
 
     unsigned char header[traceHeaderBytes];
-    if (_mode == Mode::Mmap) {
-        std::memcpy(header, _map, sizeof(header));
-    } else {
-        _in.read(reinterpret_cast<char *>(header), sizeof(header));
-        if (!_in)
-            fatal("trace file %s: cannot read header", _path.c_str());
-    }
+    std::memcpy(header, _map, sizeof(header));
 
     if (std::memcmp(header + headerMagicOff, traceMagic.data(),
                     traceMagic.size()) != 0)
@@ -97,24 +73,8 @@ TraceReader::validate()
 
     // Full payload CRC pass up front: replay must never begin on a
     // file whose tail is corrupt.
-    std::uint32_t crc = crc32Init;
-    if (_mode == Mode::Mmap) {
-        crc = crc32Update(crc, _map + traceHeaderBytes, _payloadBytes);
-    } else {
-        std::vector<unsigned char> chunk(streamWindowBytes);
-        std::uint64_t left = _payloadBytes;
-        while (left > 0) {
-            std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, chunk.size()));
-            _in.read(reinterpret_cast<char *>(chunk.data()),
-                     static_cast<std::streamsize>(want));
-            if (static_cast<std::size_t>(_in.gcount()) != want)
-                fatal("trace file %s: short read during CRC scan",
-                      _path.c_str());
-            crc = crc32Update(crc, chunk.data(), want);
-            left -= want;
-        }
-    }
+    std::uint32_t crc =
+        crc32Update(crc32Init, _map + traceHeaderBytes, _payloadBytes);
     if (crc32Final(crc) != getLe32(header + headerPayloadCrcOff))
         fatal("trace file %s: payload CRC mismatch (truncated or "
               "corrupt file)", _path.c_str());
@@ -129,12 +89,6 @@ TraceReader::reset()
     _decoded = 0;
     _prevAddr = 0;
     _prevPc = 0;
-    if (_mode == Mode::Stream) {
-        _window.clear();
-        _windowStart = 0;
-        _in.clear();
-        _in.seekg(static_cast<std::streamoff>(traceHeaderBytes));
-    }
 }
 
 bool
@@ -142,31 +96,7 @@ TraceReader::byteAt(std::uint64_t payload_off, unsigned char &out)
 {
     if (payload_off >= _payloadBytes)
         return false;
-    if (_mode == Mode::Mmap) {
-        out = _map[traceHeaderBytes + payload_off];
-        return true;
-    }
-    if (payload_off < _windowStart ||
-        payload_off >= _windowStart + _window.size()) {
-        // Slide the window. Sequential decode only ever moves
-        // forward; reset() rewinds the stream itself.
-        mda_assert(payload_off >= _windowStart + _window.size(),
-                   "stream decode moved backwards");
-        _windowStart = payload_off;
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(_payloadBytes - _windowStart,
-                                    streamWindowBytes));
-        _window.resize(want);
-        _in.seekg(static_cast<std::streamoff>(traceHeaderBytes +
-                                              _windowStart));
-        _in.read(reinterpret_cast<char *>(_window.data()),
-                 static_cast<std::streamsize>(want));
-        if (static_cast<std::size_t>(_in.gcount()) != want)
-            fatal("trace file %s: short read at payload offset %llu",
-                  _path.c_str(), (unsigned long long)_windowStart);
-    }
-    out = _window[static_cast<std::size_t>(payload_off -
-                                           _windowStart)];
+    out = _map[traceHeaderBytes + payload_off];
     return true;
 }
 

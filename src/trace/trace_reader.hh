@@ -2,10 +2,8 @@
  * @file
  * Validating binary trace reader.
  *
- * Two access modes share one decoder: Mmap maps the file read-only
- * and decodes straight out of the mapping (the fast path for replay);
- * Stream reads through a bounded window (for pipes-unfriendly
- * filesystems or tooling that must not mmap). Construction validates
+ * The file is mapped read-only and decoded straight out of the
+ * mapping. Construction validates
  * everything up front — magic, schema version, reserved flags, header
  * CRC, payload CRC — and every structural violation found while
  * decoding (reserved record bits, over-long varints, truncated
@@ -18,9 +16,7 @@
 #define MDA_TRACE_TRACE_READER_HH
 
 #include <cstdint>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "compiler/trace.hh"
 #include "trace_format.hh"
@@ -32,15 +28,8 @@ namespace mda::trace
 class TraceReader
 {
   public:
-    enum class Mode : std::uint8_t
-    {
-        Mmap,   ///< Map the whole file read-only.
-        Stream, ///< Chunked reads through a bounded window.
-    };
-
     /** Open and fully validate @p path; fatal on any defect. */
-    explicit TraceReader(const std::string &path,
-                         Mode mode = Mode::Mmap);
+    explicit TraceReader(const std::string &path);
 
     ~TraceReader();
 
@@ -66,17 +55,10 @@ class TraceReader
     std::uint64_t readVarint();
 
     std::string _path;
-    Mode _mode;
 
-    // Mmap state.
     const unsigned char *_map = nullptr;
     std::uint64_t _fileBytes = 0;
     int _fd = -1;
-
-    // Stream state: a sliding window over the payload.
-    std::ifstream _in;
-    std::vector<unsigned char> _window;
-    std::uint64_t _windowStart = 0; ///< Payload offset of _window[0].
 
     std::uint64_t _payloadBytes = 0;
     std::uint64_t _opCount = 0;

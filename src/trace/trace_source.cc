@@ -37,10 +37,7 @@ CaptureSource::reset()
           _writer.path().c_str());
 }
 
-ReplaySource::ReplaySource(const std::string &path,
-                           TraceReader::Mode mode)
-    : _reader(path, mode)
-{}
+ReplaySource::ReplaySource(const std::string &path) : _reader(path) {}
 
 bool
 ReplaySource::next(compiler::TraceOp &op)

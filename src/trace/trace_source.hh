@@ -103,9 +103,7 @@ class CaptureSource : public TraceSource
 class ReplaySource : public TraceSource
 {
   public:
-    explicit ReplaySource(
-        const std::string &path,
-        TraceReader::Mode mode = TraceReader::Mode::Mmap);
+    explicit ReplaySource(const std::string &path);
 
     bool next(compiler::TraceOp &op) override;
     void reset() override;

@@ -19,9 +19,7 @@ struct DenseTileRig : public ::testing::Test
     {
         CacheConfig cfg = tinyCache(4096, 2);
         cfg.mshrs = 16; // room for the block stream
-        auto cache = std::make_unique<TileCache>(
-            "llc", rig.eq, rig.sg, cfg, TileFillPolicy::Dense);
-        rig.levels.push_back(std::move(cache));
+        rig.addTileCache(cfg, "llc", TileFillPolicy::Dense);
         rig.connect();
     }
     TestRig rig;

@@ -24,7 +24,7 @@ struct BaselineRig : public ::testing::Test
 
 TEST_F(BaselineRig, ReadMissFillsRowLine)
 {
-    rig.mem->store().writeWord(0x4008, 55);
+    rig.mem().store().writeWord(0x4008, 55);
     EXPECT_EQ(rig.readWord(0x4008), 55u);
     EXPECT_EQ(rig.stat("l1.demandMisses"), 1.0);
     // Neighbours in the same row line hit.
@@ -55,14 +55,14 @@ TEST_F(BaselineRig, WriteAllocateAndWriteback)
     EXPECT_EQ(rig.stat("l1.writeMisses"), 1.0);
     EXPECT_EQ(rig.readWord(0x1000), 0xbeefu);
     // Not yet in memory (write-back).
-    EXPECT_EQ(rig.mem->store().readWord(0x1000), 0u);
+    EXPECT_EQ(rig.mem().store().readWord(0x1000), 0u);
     // Evict by conflict.
-    auto *l1 = static_cast<LineCache *>(rig.levels[0].get());
+    auto *l1 = &rig.lineCache(0);
     OrientedLine line = OrientedLine::containing(0x1000,
                                                  Orientation::Row);
     for (const auto &conflict : conflictingRowLines(*l1, line, 4))
         rig.readLine(conflict);
-    EXPECT_EQ(rig.mem->store().readWord(0x1000), 0xbeefu);
+    EXPECT_EQ(rig.mem().store().readWord(0x1000), 0xbeefu);
 }
 
 TEST_F(BaselineRig, StridePrefetcherCoversUnitStrideStream)

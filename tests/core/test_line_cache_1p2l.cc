@@ -25,15 +25,14 @@ struct OneLevelRig : public ::testing::Test
         rig.connect();
     }
     TestRig rig;
-    LineCache &l1() { return *static_cast<LineCache *>(
-        rig.levels[0].get()); }
+    LineCache &l1() { return rig.lineCache(0); }
 };
 
 TEST_F(OneLevelRig, ColumnMissFillsColumnLine)
 {
     // Prime memory.
     for (unsigned r = 0; r < 8; ++r)
-        rig.mem->store().writeWord(wordAddr(5, r, 3), 100 + r);
+        rig.mem().store().writeWord(wordAddr(5, r, 3), 100 + r);
     EXPECT_EQ(rig.readWord(wordAddr(5, 2, 3), Orientation::Col), 102u);
     // The fill brought the whole column: the other words now hit.
     double misses = rig.stat("l1.demandMisses");
@@ -106,7 +105,7 @@ TEST_F(OneLevelRig, DirtyCrossingWordWrittenBackBeforeFill)
         OrientedLine::containing(w, Orientation::Col));
     EXPECT_EQ(values[2], 0x777u); // word index 2 = row 2
     EXPECT_EQ(rig.stat("l1.dupWritebacks"), 1.0);
-    EXPECT_EQ(rig.mem->store().readWord(w), 0x777u);
+    EXPECT_EQ(rig.mem().store().readWord(w), 0x777u);
 }
 
 TEST_F(OneLevelRig, PartialWritebackOnlyMovesDirtyWords)

@@ -32,7 +32,7 @@ TEST_F(OrderingRig, WriteDeferredBehindInFlightCrossingFill)
     // Start a column fill; write the crossing word before it returns.
     OrientedLine col(Orientation::Col, (4ull << 3) | 2);
     Addr w = col.wordAddr(5); // word (5, 2) of tile 4
-    rig.mem->store().writeWord(w, 0x1111);
+    rig.mem().store().writeWord(w, 0x1111);
 
     auto rd = Packet::makeVector(MemCmd::Read, col, 1, 0);
     rig.send(std::move(rd));
@@ -112,7 +112,7 @@ TEST_F(OrderingRig, EvictionDuringCrossingFillKeepsData)
     OrientedLine row(Orientation::Row, (30ull << 3) | 0);
     for (unsigned k = 0; k < lineWords; ++k)
         rig.writeWord(row.wordAddr(k), 3000 + k, Orientation::Row);
-    auto *l1 = static_cast<LineCache *>(rig.levels[0].get());
+    auto *l1 = &rig.lineCache(0);
 
     auto col_rd = Packet::makeVector(
         MemCmd::Read, OrientedLine(Orientation::Col, (30ull << 3) | 7),

@@ -6,9 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/line_cache.hh"
-#include "core/tile_cache.hh"
-#include "mem/mda_memory.hh"
+#include "harness/hierarchy.hh"
 
 namespace mda::testing
 {
@@ -29,7 +27,8 @@ class MockCpu : public MemClient
     bool retryReady = false;
 };
 
-/** A CPU -> caches -> MDA memory chain with helpers. */
+/** A CPU -> caches -> MDA memory chain with helpers: add levels CPU
+ *  side first, then connect() builds them as one Hierarchy. */
 class TestRig
 {
   public:
@@ -37,53 +36,47 @@ class TestRig
     explicit TestRig(MemTopologyParams topo = MemTopologyParams{},
                      MemTimingParams timing =
                          MemTimingParams::sttDefault())
-        : mem(std::make_unique<MdaMemory>("mem", eq, sg, timing, topo))
+        : _topo(topo), _timing(timing)
     {}
 
     /** Append a cache level (first call = closest to the CPU). */
-    LineCache &
+    void
     addLineCache(const CacheConfig &cfg, LineMapping mapping,
                  const std::string &name)
     {
-        auto cache =
-            std::make_unique<LineCache>(name, eq, sg, cfg, mapping);
-        auto *raw = cache.get();
-        levels.push_back(std::move(cache));
-        return *raw;
+        LevelSpec spec;
+        spec.name = name;
+        spec.cache = cfg;
+        spec.mapping = mapping;
+        _specs.push_back(spec);
     }
 
-    TileCache &
+    void
     addTileCache(const CacheConfig &cfg, const std::string &name,
                  TileFillPolicy fill = TileFillPolicy::Sparse)
     {
-        auto cache =
-            std::make_unique<TileCache>(name, eq, sg, cfg, fill);
-        auto *raw = cache.get();
-        levels.push_back(std::move(cache));
-        return *raw;
+        LevelSpec spec;
+        spec.name = name;
+        spec.cache = cfg;
+        spec.tile = true;
+        spec.fill = fill;
+        _specs.push_back(spec);
     }
 
-    /** Wire CPU -> levels[0] -> ... -> memory. Call once. */
+    /** Build CPU -> levels[0] -> ... -> memory. Call once. */
     void
     connect()
     {
-        for (std::size_t n = 0; n < levels.size(); ++n) {
-            MemDevice *below = (n + 1 < levels.size())
-                                   ? static_cast<MemDevice *>(
-                                         levels[n + 1].get())
-                                   : static_cast<MemDevice *>(mem.get());
-            levels[n]->setDownstream(below);
-            below->setUpstream(levels[n].get());
-        }
-        top().setUpstream(&cpu);
+        hier = std::make_unique<Hierarchy>(eq, sg, _specs, _timing,
+                                           _topo);
+        hier->attach(cpu);
     }
 
-    MemDevice &
-    top()
-    {
-        return levels.empty() ? static_cast<MemDevice &>(*mem)
-                              : static_cast<MemDevice &>(*levels[0]);
-    }
+    MdaMemory &mem() { return hier->memory(); }
+    LineCache &lineCache(std::size_t n) { return *hier->lineCache(n); }
+    TileCache &tileCache(std::size_t n) { return *hier->tileCache(n); }
+
+    MemDevice &top() { return hier->top(); }
 
     /** Send a packet, spinning the event loop through retries. */
     void
@@ -162,9 +155,14 @@ class TestRig
 
     EventQueue eq;
     stats::StatGroup sg;
+    std::unique_ptr<Hierarchy> hier;
+    /** After the hierarchy, so held responses die before its pool. */
     MockCpu cpu;
-    std::vector<std::unique_ptr<CacheBase>> levels;
-    std::unique_ptr<MdaMemory> mem;
+
+  private:
+    MemTopologyParams _topo;
+    MemTimingParams _timing;
+    std::vector<LevelSpec> _specs;
 };
 
 /** First @p count row lines (id > start.id) sharing @p start's set. */

@@ -19,14 +19,13 @@ struct TileRig : public ::testing::Test
         rig.connect();
     }
     TestRig rig;
-    TileCache &llc() { return *static_cast<TileCache *>(
-        rig.levels[0].get()); }
+    TileCache &llc() { return rig.tileCache(0); }
 };
 
 TEST_F(TileRig, SparseRowFillThenHit)
 {
     for (unsigned c = 0; c < 8; ++c)
-        rig.mem->store().writeWord(tileBase(3) + 2 * 64 + c * 8,
+        rig.mem().store().writeWord(tileBase(3) + 2 * 64 + c * 8,
                                    300 + c);
     OrientedLine row(Orientation::Row, (3ull << 3) | 2);
     auto vals = rig.readLine(row);
@@ -99,8 +98,8 @@ TEST_F(TileRig, EvictionWritesBackOnlyDirtyWords)
     EXPECT_EQ(rig.stat("llc.frameEvictions"), 1.0);
     // Two dirty words = 16 bytes, as two partial row writebacks.
     EXPECT_EQ(rig.stat("mem.bytesWritten") - bytes, 16.0);
-    EXPECT_EQ(rig.mem->store().readWord(tileBase(0)), 1u);
-    EXPECT_EQ(rig.mem->store().readWord(tileBase(0) + 3 * 64 + 2 * 8),
+    EXPECT_EQ(rig.mem().store().readWord(tileBase(0)), 1u);
+    EXPECT_EQ(rig.mem().store().readWord(tileBase(0) + 3 * 64 + 2 * 8),
               2u);
 }
 
@@ -109,9 +108,9 @@ TEST_F(TileRig, ColumnFillMergesIntoBlockWithPresentDirtyRow)
     // Seed memory for row 2 and column 5 of tile 3 (the intersection
     // word (2,5) keeps the column loop's value, 502).
     for (unsigned k = 0; k < 8; ++k) {
-        rig.mem->store().writeWord(tileBase(3) + 2 * 64 + k * 8,
+        rig.mem().store().writeWord(tileBase(3) + 2 * 64 + k * 8,
                                    200 + k);
-        rig.mem->store().writeWord(tileBase(3) + k * 64 + 5 * 8,
+        rig.mem().store().writeWord(tileBase(3) + k * 64 + 5 * 8,
                                    500 + k);
     }
     OrientedLine row(Orientation::Row, (3ull << 3) | 2);
@@ -136,7 +135,7 @@ TEST_F(TileRig, PartialBlockEvictionWritesBackOnlyDirtyWords)
     // A partially-present block: row 1 present-clean, two dirty words
     // in rows 4 and 6, the remaining 54 words never filled.
     for (unsigned k = 0; k < 8; ++k)
-        rig.mem->store().writeWord(tileBase(0) + 64 + k * 8, 100 + k);
+        rig.mem().store().writeWord(tileBase(0) + 64 + k * 8, 100 + k);
     rig.readLine(OrientedLine(Orientation::Row, 1));
     rig.writeWord(tileBase(0) + 4 * 64 + 3 * 8, 0xa);
     rig.writeWord(tileBase(0) + 6 * 64 + 7 * 8, 0xb);
@@ -158,12 +157,12 @@ TEST_F(TileRig, PartialBlockEvictionWritesBackOnlyDirtyWords)
     EXPECT_EQ(rig.stat("mem.bytesWritten") - bytes, 16.0);
     EXPECT_EQ(rig.stat("llc.writebackBytesElided") - elided,
               54.0 * wordBytes);
-    EXPECT_EQ(rig.mem->store().readWord(tileBase(0) + 4 * 64 + 3 * 8),
+    EXPECT_EQ(rig.mem().store().readWord(tileBase(0) + 4 * 64 + 3 * 8),
               0xau);
-    EXPECT_EQ(rig.mem->store().readWord(tileBase(0) + 6 * 64 + 7 * 8),
+    EXPECT_EQ(rig.mem().store().readWord(tileBase(0) + 6 * 64 + 7 * 8),
               0xbu);
     // The clean row's memory copy is untouched (never re-written).
-    EXPECT_EQ(rig.mem->store().readWord(tileBase(0) + 64), 100u);
+    EXPECT_EQ(rig.mem().store().readWord(tileBase(0) + 64), 100u);
     EXPECT_TRUE(llc().checkInvariants().empty());
 }
 
@@ -172,8 +171,8 @@ TEST_F(TileRig, WriteDuringInFlightFillIsNotClobbered)
     // Start a column fill, then write one of its words before the
     // fill returns; the fill must skip the validated word.
     OrientedLine col(Orientation::Col, (2ull << 3) | 6);
-    rig.mem->store().writeWord(col.wordAddr(0), 0xaaa);
-    rig.mem->store().writeWord(col.wordAddr(4), 0xbbb);
+    rig.mem().store().writeWord(col.wordAddr(0), 0xaaa);
+    rig.mem().store().writeWord(col.wordAddr(4), 0xbbb);
     auto rd = Packet::makeVector(MemCmd::Read, col, 1, 0);
     rig.send(std::move(rd));
     // Write word 4 while the fill is in flight (no eq.run yet).

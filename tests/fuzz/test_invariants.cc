@@ -35,8 +35,7 @@ struct TileInvariants : public ::testing::Test
         rig.connect();
     }
 
-    TileCache &llc() { return *static_cast<TileCache *>(
-        rig.levels[0].get()); }
+    TileCache &llc() { return rig.tileCache(0); }
 
     /** The valid frame slot holding @p tile (asserts it exists). */
     StorageSlot
@@ -106,8 +105,7 @@ struct LineInvariants : public ::testing::Test
         rig.connect();
     }
 
-    LineCache &l1() { return *static_cast<LineCache *>(
-        rig.levels[0].get()); }
+    LineCache &l1() { return rig.lineCache(0); }
 
     TestRig rig;
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "fuzz/oracle.hh"
 #include "fuzz/scenario.hh"
 
@@ -74,11 +77,17 @@ TEST(Oracle, ResponsesAnswerOpsByPacketIdOnce)
 
 TEST(OracleDeathTest, DeferredDesign3IsRejected)
 {
+    // A repro naming Design 3 never reaches the oracle: reading the
+    // file rejects the design name.
     Scenario s = generateScenario(1, smallLimits());
-    s.config.designs = {DesignPoint::D3_2P2L_L1};
-    OracleOptions opts;
-    EXPECT_EXIT(runOracle(s, opts), ::testing::ExitedWithCode(1),
+    s.config.designs = {DesignPoint::D1_1P2L};
+    std::string text = reproText(s);
+    text.replace(text.find("designs 1P2L\n"), 12, "designs 2P2L_L1");
+    std::string path = ::testing::TempDir() + "design3.repro";
+    std::ofstream(path) << text;
+    EXPECT_EXIT(readReproFile(path), ::testing::ExitedWithCode(1),
                 "deferred");
+    std::remove(path.c_str());
 }
 
 TEST(OracleDeathTest, InapplicableBaselineIsRejected)

@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "compiler/compile.hh"
+#include "harness/hierarchy.hh"
 #include "harness/trace_cpu.hh"
-#include "mem/mda_memory.hh"
-#include "sim/packet_pool.hh"
 #include "trace/trace_source.hh"
 
 namespace mda
@@ -38,26 +37,25 @@ scalarStream(std::int64_t count, bool write = false)
     return compileKernel(b.build(), opts);
 }
 
+/** The CPU straight over memory: a hierarchy with no cache levels. */
 struct CpuRig
 {
     explicit CpuRig(const CompiledKernel &ck, CpuParams params = {})
-        : gen(ck),
-          mem("mem", eq, sg, MemTimingParams::sttDefault(),
-              MemTopologyParams{}),
-          cpu("cpu", eq, sg, gen, mem, params)
+        : gen(ck), hier(eq, sg, {}),
+          cpu("cpu", eq, sg, gen, hier.top(), params)
     {
-        mem.setUpstream(&cpu);
+        hier.attach(cpu);
         // The checker keys its expectations by pool slot, as in a
         // System, so the CPU allocates from a pool.
-        cpu.setPacketPool(&pool);
+        cpu.setPacketPool(&hier.pool());
     }
 
-    /** Declared first so in-flight packets die before the slabs. */
-    PacketPool pool;
     EventQueue eq;
     stats::StatGroup sg;
     trace::GeneratorSource gen;
-    MdaMemory mem;
+    /** Before the CPU, so its in-flight packets die before the
+     *  slabs. */
+    Hierarchy hier;
     TraceCpu cpu;
 };
 
@@ -166,7 +164,7 @@ TEST(TraceCpuDeathTest, ReadResponseWithoutCheckerEntryPanics)
     ASSERT_TRUE(rig.eq.step()); // first read issued, now in memory
     // A read the CPU never issued: its pool slot has no expectation.
     auto stray = Packet::makeScalar(MemCmd::Read, 0, Orientation::Row,
-                                    0, 0, &rig.pool);
+                                    0, 0, &rig.hier.pool());
     stray->makeResponse();
     EXPECT_DEATH(rig.cpu.recvResponse(std::move(stray)),
                  "no live checker entry");

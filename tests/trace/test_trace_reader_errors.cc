@@ -72,12 +72,11 @@ goodTrace(const std::string &name)
 }
 
 void
-expectFatal(const std::string &path, const char *pattern,
-            TraceReader::Mode mode = TraceReader::Mode::Mmap)
+expectFatal(const std::string &path, const char *pattern)
 {
     EXPECT_EXIT(
         {
-            TraceReader reader(path, mode);
+            TraceReader reader(path);
             TraceOp op;
             while (reader.next(op)) {
             }
@@ -90,15 +89,12 @@ TEST(TraceReaderDeathTest, MissingFileIsFatal)
 {
     expectFatal(testing::TempDir() + "no_such_trace.mdat",
                 "cannot open trace file");
-    expectFatal(testing::TempDir() + "no_such_trace.mdat",
-                "cannot open trace file", TraceReader::Mode::Stream);
 }
 
 TEST(TraceReaderDeathTest, ShortFileIsFatal)
 {
     auto path = writeBytes("short", {'M', 'D', 'A'});
     expectFatal(path, "truncated header");
-    expectFatal(path, "truncated header", TraceReader::Mode::Stream);
 }
 
 TEST(TraceReaderDeathTest, EmptyFileIsFatal)
@@ -157,8 +153,6 @@ TEST(TraceReaderDeathTest, PayloadCorruptionIsFatal)
     f.put(static_cast<char>(byte ^ 0x40));
     f.close();
     expectFatal(path, "payload CRC mismatch");
-    expectFatal(path, "payload CRC mismatch",
-                TraceReader::Mode::Stream);
     std::remove(path.c_str());
 }
 
@@ -190,8 +184,6 @@ TEST(TraceReaderDeathTest, TruncatedVarintIsFatal)
     // promises a byte that never comes.
     expectFatal(writeBytes("truncvarint", makeTrace(1, {0x00, 0x80})),
                 "truncated varint");
-    expectFatal(writeBytes("truncvarint2", makeTrace(1, {0x00, 0x80})),
-                "truncated varint", TraceReader::Mode::Stream);
 }
 
 TEST(TraceReaderDeathTest, OverlongVarintIsFatal)

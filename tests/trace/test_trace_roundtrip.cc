@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <vector>
 
@@ -35,10 +36,9 @@ expectOpEq(const TraceOp &a, const TraceOp &b, std::size_t idx)
     EXPECT_EQ(a.computeCycles, b.computeCycles) << "op " << idx;
 }
 
-/** Write @p ops, then decode in @p mode and compare. */
+/** Write @p ops, then decode them back and compare. */
 void
-roundTrip(const std::vector<TraceOp> &ops, const std::string &name,
-          TraceReader::Mode mode)
+roundTrip(const std::vector<TraceOp> &ops, const std::string &name)
 {
     std::string path = tracePath(name);
     {
@@ -48,7 +48,7 @@ roundTrip(const std::vector<TraceOp> &ops, const std::string &name,
         EXPECT_EQ(writer.opsWritten(), ops.size());
         writer.finalize();
     }
-    TraceReader reader(path, mode);
+    TraceReader reader(path);
     EXPECT_EQ(reader.opCount(), ops.size());
     TraceOp op;
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -67,14 +67,6 @@ roundTrip(const std::vector<TraceOp> &ops, const std::string &name,
     std::remove(path.c_str());
 }
 
-void
-roundTripBothModes(const std::vector<TraceOp> &ops,
-                   const std::string &name)
-{
-    roundTrip(ops, name + "_mmap", TraceReader::Mode::Mmap);
-    roundTrip(ops, name + "_stream", TraceReader::Mode::Stream);
-}
-
 TraceOp
 scalarRead(Addr addr)
 {
@@ -85,7 +77,7 @@ scalarRead(Addr addr)
 
 TEST(TraceRoundTrip, EmptyTrace)
 {
-    roundTripBothModes({}, "empty");
+    roundTrip({}, "empty");
 }
 
 TEST(TraceRoundTrip, FieldElisionCases)
@@ -114,7 +106,7 @@ TEST(TraceRoundTrip, FieldElisionCases)
     col.addr = 16;
     col.computeCycles = 0;
     ops.push_back(col);
-    roundTripBothModes(ops, "elision");
+    roundTrip(ops, "elision");
 }
 
 TEST(TraceRoundTrip, AddressWraparoundDeltas)
@@ -129,7 +121,7 @@ TEST(TraceRoundTrip, AddressWraparoundDeltas)
     ops.push_back(scalarRead(0x8000000000000000ull));
     ops.push_back(scalarRead(0x7fffffffffffffffull));
     ops.push_back(scalarRead(1));
-    roundTripBothModes(ops, "wraparound");
+    roundTrip(ops, "wraparound");
 }
 
 TEST(TraceRoundTrip, MaxLengthVarints)
@@ -142,13 +134,13 @@ TEST(TraceRoundTrip, MaxLengthVarints)
     op.pc = std::numeric_limits<std::uint32_t>::max();
     op.computeCycles = std::numeric_limits<std::uint32_t>::max();
     ops.push_back(op);
-    roundTripBothModes(ops, "maxvarint");
+    roundTrip(ops, "maxvarint");
 }
 
 TEST(TraceRoundTrip, RandomStreamsMmapAndStreamAgree)
 {
-    // Property test: seeded random streams large enough to slide the
-    // stream-mode window (64 KiB) several times.
+    // Property test: a seeded random stream of several hundred KiB
+    // round-trips through the mapped reader.
     Rng rng(0xdecade);
     std::vector<TraceOp> ops;
     ops.reserve(200000);
@@ -172,7 +164,7 @@ TEST(TraceRoundTrip, RandomStreamsMmapAndStreamAgree)
         op.computeCycles = static_cast<std::uint32_t>(rng.below(4));
         ops.push_back(op);
     }
-    roundTripBothModes(ops, "random");
+    roundTrip(ops, "random");
 }
 
 TEST(TraceRoundTrip, DeltaEncodingIsCompact)

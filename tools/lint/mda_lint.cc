@@ -67,12 +67,10 @@
  * "RULE<TAB>file<TAB>key" triple per line) grandfathers findings so
  * CI can gate on *new* findings only; the shipped baseline is empty.
  *
- * This translation unit is the tokenizer fallback engine: the shared
+ * This translation unit is the tokenizer engine: the shared
  * scanning/suppression/baseline machinery lives in
  * tools/common/scan.hh (also used by mda-analyze). It is deliberately
  * conservative and std-only so the CI gate runs on any toolchain.
- * When Clang dev libs are available, mda_lint_ast.cc supplies an AST
- * engine for the type-aware subset (see tools/lint/CMakeLists.txt).
  */
 
 #include <algorithm>
