@@ -3,11 +3,13 @@
  * Simulation-kernel throughput microbenchmark: raw EventQueue
  * events/sec and Packet allocation packets/sec (pooled vs heap), and
  * the functional-warming path of sampled runs: the trace generator's
- * drain rate and TraceCpu::fastForward ops/sec.
+ * drain rate, TraceCpu::fastForward ops/sec (the synchronous walk) and
+ * Hierarchy::fastForward ops/sec (the level pipeline sampled runs
+ * use).
  *
  * The figure benches measure end-to-end wall clock, which folds cache
  * model work into every number; this binary isolates the two kernel
- * hot paths the zero-alloc overhaul targets, and the two stages of
+ * hot paths the zero-alloc overhaul targets, and the stages of
  * fast-forward, so regressions in any of them are visible directly.
  * CI gates the rates against a committed baseline and archives the
  * JSON next to the bench trajectories.
@@ -21,6 +23,7 @@
  *                [--stats-json FILE]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -190,15 +193,19 @@ runGeneratorDrain()
 }
 
 /**
- * TraceCpu::fastForward of @p target ops of sgemm compiled for MDA at
- * n = 512 through the unscaled Table I 1P2L hierarchy, generation
- * included: the warming of a paper-scale sampled run. The first
- * million ops warm the hierarchy untimed (about 15 passes over B, which
- * fits in no level), so the rate is a steady state's, not a cold
- * start's.
+ * Fast-forward of @p target ops of sgemm compiled for MDA at n = 512
+ * through the unscaled Table I 1P2L hierarchy, generation included:
+ * the warming of a paper-scale sampled run. The first million ops
+ * warm the hierarchy untimed (about 15 passes over B, which fits in
+ * no level), so the rate is a steady state's, not a cold start's.
+ *
+ * Synchronous: one TraceCpu::fastForward call, the walk itself.
+ * Pipelined: Hierarchy::fastForward, as System::runSampled calls it,
+ * in the stretches of a 100000-op period with 1000-op windows, so
+ * each stretch's closing barrier is in the rate too.
  */
 Measurement
-runFastForward(std::uint64_t target)
+runFastForward(std::uint64_t target, bool pipelined)
 {
     RunSpec spec;
     spec.workload = "sgemm";
@@ -206,11 +213,28 @@ runFastForward(std::uint64_t target)
     spec.system.design = DesignPoint::D1_1P2L;
     spec.autoScaleCaches = false;
     PreparedRun run(spec);
-    run.system.cpu().fastForward(1'000'000);
+    Hierarchy &hier = run.system.hierarchy();
+    TraceCpu &cpu = run.system.cpu();
+    constexpr std::uint64_t stretch = 100'000 - 2 * 1'000;
+    auto forward = [&](std::uint64_t ops) {
+        if (!pipelined)
+            return cpu.fastForward(ops);
+        std::uint64_t applied = 0;
+        while (applied < ops) {
+            std::uint64_t n =
+                hier.fastForward(cpu, std::min(stretch, ops - applied));
+            if (n == 0)
+                break;
+            applied += n;
+        }
+        return applied;
+    };
+    forward(1'000'000);
 
     const double t0 = now();
-    std::uint64_t applied = run.system.cpu().fastForward(target);
+    std::uint64_t applied = forward(target);
     const double t1 = now();
+    hier.endWarming();
     return {applied, t1 - t0};
 }
 
@@ -288,8 +312,10 @@ main(int argc, char **argv)
     std::cout << "functional warming (sgemm MDA):\n";
     Measurement drain = runGeneratorDrain();
     printMeasurement("generator drain, n=256", drain);
-    Measurement ff = runFastForward(warming_target);
+    Measurement ff = runFastForward(warming_target, false);
     printMeasurement("fastForward, n=512, Table I 1P2L", ff);
+    Measurement piped = runFastForward(warming_target, true);
+    printMeasurement("pipelined fastForward, same", piped);
 
     if (!json_path.empty()) {
         std::ofstream os(json_path);
@@ -311,7 +337,8 @@ main(int argc, char **argv)
            << pkt_pooled.rate() / pkt_heap.rate() << "},\n";
         os << "  \"warming\": {\n";
         jsonMeasurement(os, "drain", drain);
-        jsonMeasurement(os, "fastForward", ff, true);
+        jsonMeasurement(os, "fastForward", ff);
+        jsonMeasurement(os, "pipelined", piped, true);
         os << "  }\n}\n";
     }
     return 0;

@@ -133,7 +133,7 @@ class StridePrefetcher
 
     unsigned degree() const { return _degree; }
 
-  private:
+    /** One stream's training state, by table slot. */
     struct TableEntry
     {
         std::uint32_t pc = 0;
@@ -142,6 +142,10 @@ class StridePrefetcher
         unsigned confidence = 0;
     };
 
+    /** The training table (tests compare warmed state). */
+    const std::vector<TableEntry> &table() const { return _table; }
+
+  private:
     unsigned _degree;
     /** Reciprocal for the table index (observe() runs per demand
      *  access; table sizes need not be powers of two). */

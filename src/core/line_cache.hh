@@ -72,6 +72,10 @@ class LineCache : public CacheBase
 
     /** Storage access for occupancy probes and tests. */
     LineStorage &storage() { return _storage; }
+    const LineStorage &storage() const { return _storage; }
+
+    /** The stride prefetcher (trained only when config().prefetch). */
+    const StridePrefetcher &prefetcher() const { return _prefetcher; }
 
     /** Set index of @p line under this cache's mapping mode. */
     std::uint64_t

@@ -1,5 +1,8 @@
 #include "hierarchy.hh"
 
+#include "trace_cpu.hh"
+#include "warming.hh"
+
 namespace mda
 {
 
@@ -78,12 +81,33 @@ Hierarchy::Hierarchy(EventQueue &eq, stats::StatGroup &sg,
     }
 }
 
+Hierarchy::~Hierarchy() = default;
+
 void
 Hierarchy::regProbes(probe::ProbeManager &pm)
 {
     for (auto &cache : _levels)
         cache->regProbes(pm);
     _memory.regProbes(pm);
+}
+
+std::uint64_t
+Hierarchy::fastForward(TraceCpu &cpu, std::uint64_t count)
+{
+    if (_levels.size() < 2)
+        return cpu.fastForward(count);
+    HostThreads helpers(static_cast<unsigned>(_levels.size()) - 1, true);
+    if (!helpers.held())
+        return cpu.fastForward(count);
+    if (!_warming)
+        _warming = std::make_unique<WarmingPipeline>(_levels);
+    return _warming->fastForward(cpu, count);
+}
+
+void
+Hierarchy::endWarming()
+{
+    _warming.reset();
 }
 
 } // namespace mda

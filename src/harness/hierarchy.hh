@@ -4,7 +4,8 @@
  * packet pool they share, and the wiring between them, built from one
  * list of LevelSpecs. System, the fuzz oracle and the unit-test rig
  * all build their caches here; specsFor() is the one place a paper
- * design point turns into level shapes.
+ * design point turns into level shapes. Sampled runs fast-forward
+ * through it too (fastForward(), a level pipeline).
  */
 
 #ifndef MDA_HARNESS_HIERARCHY_HH
@@ -22,6 +23,9 @@
 
 namespace mda
 {
+
+class TraceCpu;
+class WarmingPipeline;
 
 /** One cache level: name, geometry, and which cache realizes it. */
 struct LevelSpec
@@ -71,6 +75,9 @@ class Hierarchy
                   MemTimingParams::sttDefault(),
               const MemTopologyParams &topo = MemTopologyParams{});
 
+    /** Joins the fast-forward threads, if they run. */
+    ~Hierarchy();
+
     /** Where the CPU sends: the first level, or the memory itself
      *  when there are no levels. */
     MemDevice &
@@ -110,12 +117,37 @@ class Hierarchy
      *  points with @p pm. */
     void regProbes(probe::ProbeManager &pm);
 
+    /**
+     * cpu.fastForward(@p count), the sampled run's functional
+     * fast-forward, with each level below L1 applying its share on
+     * its own thread (see warming.hh). Every level sees the calls of
+     * the synchronous walk in the same order and ends the stretch in
+     * the same state. The first pipelined stretch starts the
+     * threads; endWarming() joins them. With fewer than two levels,
+     * or no free host threads for the helpers (HostThreads), this is
+     * cpu.fastForward(@p count).
+     */
+    std::uint64_t fastForward(TraceCpu &cpu, std::uint64_t count);
+
+    /** Helper threads fastForward() has running (0 or levels - 1). */
+    std::size_t
+    warmingThreads() const
+    {
+        return _warming ? _levels.size() - 1 : 0;
+    }
+
+    /** Join the fast-forward threads, if they run. */
+    void endWarming();
+
   private:
     /** Declared first so the levels and the memory drop the packets
      *  they hold while the slabs are still alive. */
     PacketPool _pool;
     MdaMemory _memory;
     std::vector<std::unique_ptr<CacheBase>> _levels;
+
+    /** Declared after the levels so its threads stop first. */
+    std::unique_ptr<WarmingPipeline> _warming;
 };
 
 } // namespace mda

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "warming.hh"
+
 namespace mda
 {
 
@@ -139,6 +141,9 @@ System::sampleOccupancy()
 RunResult
 System::run()
 {
+    // This run's thread, in the budget the fast-forward pipeline
+    // draws its helper threads from.
+    HostThreads busy(1);
     if (_config.sampling())
         return runSampled();
 
@@ -311,8 +316,8 @@ System::runSampled()
         if (_cpu->done())
             break;
 
-        // ---- functional fast-forward ----
-        std::uint64_t skipped = _cpu->fastForward(skip);
+        // ---- functional fast-forward (level-pipelined) ----
+        std::uint64_t skipped = _hier.fastForward(*_cpu, skip);
         if (skipped > 0 && measuredOps > 0) {
             // Advance the clock by the running cycles-per-op estimate
             // so finishTick / finalTick extrapolate the same way the
@@ -327,6 +332,7 @@ System::runSampled()
             break;
     }
     _cpu->setBudgetHook(~std::uint64_t{0}, nullptr);
+    _hier.endWarming();
 
     const std::uint64_t totalOps =
         static_cast<std::uint64_t>(_stats.scalar("cpu.ops")) +

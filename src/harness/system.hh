@@ -60,6 +60,7 @@ class System
     stats::StatGroup &statGroup() { return _stats; }
     EventQueue &eventQueue() { return _eq; }
     TraceCpu &cpu() { return *_cpu; }
+    Hierarchy &hierarchy() { return _hier; }
     MdaMemory &memory() { return _hier.memory(); }
     PacketPool &packetPool() { return _hier.pool(); }
 

@@ -8,7 +8,8 @@
  * match the goldens exactly — at --jobs 1 and at --jobs 4, on a
  * LineCache design and on the TileCache (2P2L) design. A second
  * suite pins the hierarchy-builder paths the paper designs leave
- * unexercised (GoldenVariants, three workloads each).
+ * unexercised (GoldenVariants, three workloads each), and a third the
+ * sampled runs' functional fast-forward (GoldenSampled).
  *
  * Regenerating (only legitimate when a PR deliberately changes
  * simulated behavior or the stats schema):
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -106,13 +108,14 @@ updateRequested()
 }
 
 /** Expect the archive of @p specs at --jobs 1 and at --jobs 4 to
- *  equal the committed golden stats_<tag>_n32.json (or regenerate
- *  that golden when MDA_UPDATE_GOLDEN is set). */
+ *  equal the committed golden stats_<tag>_n<n>.json, n being the
+ *  specs' input size (or regenerate that golden when
+ *  MDA_UPDATE_GOLDEN is set). */
 void
 expectGolden(const std::string &tag, const std::vector<RunSpec> &specs)
 {
-    std::string path =
-        std::string(MDA_GOLDEN_DIR) + "/stats_" + tag + "_n32.json";
+    std::string path = std::string(MDA_GOLDEN_DIR) + "/stats_" + tag +
+                       "_n" + std::to_string(specs.front().n) + ".json";
     std::string j1 = archiveBytes(tag, specs, 1);
     ASSERT_FALSE(j1.empty());
 
@@ -212,6 +215,107 @@ TEST_P(GoldenVariants, ByteIdenticalAtJobs1AndJobs4)
 INSTANTIATE_TEST_SUITE_P(
     BuilderPaths, GoldenVariants, testing::ValuesIn(goldenVariants),
     [](const testing::TestParamInfo<Variant> &param_info) {
+        return std::string(param_info.param.tag);
+    });
+
+/**
+ * Sampled runs: every fast-forward walk (the 1P1L prefetcher, 1P2L,
+ * Same-Set, the 2P2L tile LLC) and a two-level hierarchy, at n=64
+ * with a 1000-op period and a 100-op window. The IR kernels
+ * fast-forward through dozens of stretches, and in every archive some
+ * trace runs out inside a stretch, so a short last stretch is pinned
+ * too.
+ */
+struct SampledShape
+{
+    const char *tag;
+    DesignPoint design;
+    bool threeLevel;
+};
+
+const SampledShape sampledShapes[] = {
+    {"1P1L", DesignPoint::D0_1P1L, true},
+    {"1P2L", DesignPoint::D1_1P2L, true},
+    {"1P2L_SameSet", DesignPoint::D1_1P2L_SameSet, true},
+    {"2P2L", DesignPoint::D2_2P2L, true},
+    {"1P2L_twoLevel", DesignPoint::D1_1P2L, false},
+};
+
+void
+PrintTo(const SampledShape &s, std::ostream *os)
+{
+    *os << s.tag;
+}
+
+constexpr std::uint64_t sampledPeriod = 1000;
+constexpr std::uint64_t sampledWindow = 100;
+
+/** The (windows, totalOps) pair of every cell's sampling meta (an
+ *  escaped JSON string inside the archive). */
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+samplingExtents(const std::string &archive)
+{
+    auto number_after = [&](const std::string &key,
+                            std::size_t &pos) -> std::uint64_t {
+        pos = archive.find(key, pos);
+        if (pos == std::string::npos)
+            return std::uint64_t{0};
+        pos += key.size();
+        return std::strtoull(archive.c_str() + pos, nullptr, 10);
+    };
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    std::size_t pos = 0;
+    while (true) {
+        std::uint64_t windows = number_after("\\\"windows\\\":", pos);
+        if (pos == std::string::npos)
+            break;
+        std::uint64_t total = number_after("\\\"totalOps\\\":", pos);
+        if (pos == std::string::npos)
+            break;
+        out.emplace_back(windows, total);
+    }
+    return out;
+}
+
+class GoldenSampled : public testing::TestWithParam<SampledShape>
+{
+};
+
+TEST_P(GoldenSampled, ByteIdenticalAtJobs1AndJobs4)
+{
+    const SampledShape &shape = GetParam();
+    std::vector<RunSpec> specs =
+        goldenSpecs(shape.design, {"sgemm", "ssyrk", "kv"});
+    for (RunSpec &spec : specs) {
+        spec.n = 64;
+        spec.system.threeLevel = shape.threeLevel;
+        spec.system.samplePeriod = sampledPeriod;
+        spec.system.sampleWindow = sampledWindow;
+    }
+    expectGolden(std::string("sampled_") + shape.tag, specs);
+
+    // The archive exercises what it claims to: the IR kernels run
+    // dozens of stretches (kv's 2048 ops make two windows), and some
+    // trace ends after a window, inside a stretch.
+    std::string golden =
+        readFile(std::string(MDA_GOLDEN_DIR) + "/stats_sampled_" +
+                 shape.tag + "_n64.json");
+    auto extents = samplingExtents(golden);
+    ASSERT_EQ(extents.size(), specs.size());
+    std::size_t long_cells = 0;
+    bool ends_mid_stretch = false;
+    for (auto [windows, total_ops] : extents) {
+        long_cells += windows >= 20;
+        ends_mid_stretch |=
+            total_ops % sampledPeriod > 2 * sampledWindow;
+    }
+    EXPECT_GE(long_cells, 2u);
+    EXPECT_TRUE(ends_mid_stretch);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FastForward, GoldenSampled, testing::ValuesIn(sampledShapes),
+    [](const testing::TestParamInfo<SampledShape> &param_info) {
         return std::string(param_info.param.tag);
     });
 
