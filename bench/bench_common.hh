@@ -108,13 +108,17 @@ struct BenchOptions
                     fatal("missing value for %s", arg.c_str());
                 return argv[++a];
             };
+            auto number = [&] {
+                return sweep::parseDecimal<std::uint64_t>(arg.c_str(),
+                                                          next());
+            };
             if (arg == "--paper") {
                 opts.paper = true;
                 opts.n = 512;
             } else if (arg == "--quick") {
                 opts.n = 64;
             } else if (arg == "--n") {
-                opts.n = std::atoll(next());
+                opts.n = static_cast<std::int64_t>(number());
             } else if (arg == "--jobs") {
                 opts.jobs = sweep::parseJobs("--jobs", next());
                 jobs_given = true;
@@ -123,8 +127,7 @@ struct BenchOptions
             } else if (arg == "--telemetry") {
                 opts.telemetry = true;
             } else if (arg == "--stats-interval") {
-                opts.statsInterval =
-                    static_cast<Tick>(std::atoll(next()));
+                opts.statsInterval = number();
             } else if (arg == "--stats-jsonl") {
                 opts.statsJsonlPath = next();
             } else if (arg == "--trace-capture") {
@@ -132,11 +135,9 @@ struct BenchOptions
             } else if (arg == "--trace-replay") {
                 opts.traceReplayDir = next();
             } else if (arg == "--sample-period") {
-                opts.samplePeriod = static_cast<std::uint64_t>(
-                    std::atoll(next()));
+                opts.samplePeriod = number();
             } else if (arg == "--sample-window") {
-                opts.sampleWindow = static_cast<std::uint64_t>(
-                    std::atoll(next()));
+                opts.sampleWindow = number();
             } else if (arg == "--debug-flags") {
                 debug::setFlags(next());
             } else if (arg == "--workloads") {

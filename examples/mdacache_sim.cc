@@ -81,21 +81,22 @@ usage()
         "  --list-debug-flags  print known debug flags and exit\n";
 }
 
+/** The value of @p flag: decimal bytes with an optional K or M (KiB,
+ *  MiB) suffix; fatal otherwise. */
 std::uint64_t
-parseBytes(const std::string &text)
+parseBytes(const char *flag, const std::string &value)
 {
-    char suffix = text.back();
+    std::string digits = value;
     std::uint64_t mult = 1;
-    std::string digits = text;
-    if (suffix == 'K' || suffix == 'k') {
-        mult = 1024;
-        digits.pop_back();
-    } else if (suffix == 'M' || suffix == 'm') {
-        mult = 1024 * 1024;
+    if (!digits.empty() && (digits.back() == 'K' || digits.back() == 'M')) {
+        mult = digits.back() == 'K' ? 1024 : 1024 * 1024;
         digits.pop_back();
     }
-    return static_cast<std::uint64_t>(std::stod(digits) *
-                                      static_cast<double>(mult));
+    std::uint64_t n = sweep::parseDecimal<std::uint64_t>(
+        flag, digits, "digits with an optional K or M suffix");
+    if (n > ~std::uint64_t{0} / mult)
+        fatal("%s %s overflows a 64-bit byte count", flag, value.c_str());
+    return n * mult;
 }
 
 } // namespace
@@ -120,6 +121,9 @@ main(int argc, char **argv)
                 fatal("missing value for %s", arg.c_str());
             return argv[++a];
         };
+        auto number = [&] {
+            return sweep::parseDecimal<std::uint64_t>(arg.c_str(), next());
+        };
         if (arg == "--workload") {
             spec.workload = next();
         } else if (arg == "--all") {
@@ -132,19 +136,19 @@ main(int argc, char **argv)
             if (!designFromName(name, spec.system.design))
                 fatal("unknown design: %s (try --help)", name.c_str());
         } else if (arg == "--n") {
-            spec.n = std::stoll(next());
+            spec.n = static_cast<std::int64_t>(number());
         } else if (arg == "--paper") {
             spec.n = 512;
             spec.autoScaleCaches = false;
         } else if (arg == "--llc") {
-            spec.system.l3Size = parseBytes(next());
+            spec.system.l3Size = parseBytes("--llc", next());
         } else if (arg == "--two-level") {
             spec.system.threeLevel = false;
         } else if (arg == "--fast-mem") {
             spec.system.memTiming = MemTimingParams::sttFast();
         } else if (arg == "--write-penalty") {
             spec.system.tileWritePenalty =
-                static_cast<Cycles>(std::stoull(next()));
+                static_cast<Cycles>(number());
         } else if (arg == "--no-scale") {
             spec.autoScaleCaches = false;
         } else if (arg == "--check") {
@@ -166,18 +170,17 @@ main(int argc, char **argv)
         } else if (arg == "--telemetry") {
             spec.system.telemetry = true;
         } else if (arg == "--stats-interval") {
-            spec.system.statsInterval =
-                static_cast<Tick>(std::stoull(next()));
+            spec.system.statsInterval = number();
         } else if (arg == "--stats-jsonl") {
             stats_jsonl_path = next();
         } else if (arg == "--sample-period") {
-            spec.system.samplePeriod = std::stoull(next());
+            spec.system.samplePeriod = number();
         } else if (arg == "--sample-window") {
-            spec.system.sampleWindow = std::stoull(next());
+            spec.system.sampleWindow = number();
         } else if (arg == "--trace-out") {
             trace_out_path = next();
         } else if (arg == "--trace-max-events") {
-            trace_max_events = std::stoull(next());
+            trace_max_events = number();
         } else if (arg == "--debug-flags") {
             debug::setFlags(next());
         } else if (arg == "--list-debug-flags") {

@@ -67,8 +67,9 @@ class CacheBase : public SimObject, public MemDevice, public MemClient
      * copies of one word across intersecting lines, presence-bit
      * bookkeeping); the base implementation has nothing to add.
      *
-     * O(frames) per call — meant for MDA_FUZZ_CHECKS-style stepped
-     * runs over tiny caches, not for the simulation fast path.
+     * O(frames) per call — meant for the fuzz oracle's stepped runs
+     * over tiny caches (off with mda_fuzz --no-checks), not for the
+     * simulation fast path.
      */
     virtual std::vector<std::string> checkInvariants() const
     {

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "campaign.hh"
+#include "harness/sweep.hh"
 #include "shrink.hh"
 #include "sim/logging.hh"
 
@@ -52,9 +53,7 @@ usage()
            "  --max-tiles <N>    tile arena cap (default 10)\n"
            "  --designs a,b      only these design points (names as "
            "in the figures)\n"
-           "  --checks / --no-checks\n"
-           "                     per-event invariant sweeps (default "
-           "on; env MDA_FUZZ_CHECKS=0/1 overrides the default)\n"
+           "  --no-checks        skip the per-event invariant sweeps\n"
            "  --no-shrink        report the raw failing scenario\n"
            "  --shrink-runs <N>  shrink budget in oracle runs "
            "(default 400)\n"
@@ -64,12 +63,22 @@ usage()
            "mda_fuzz.repro)\n";
 }
 
+/** The value of @p flag: a decimal in [@p lo, @p hi], else fatal. */
+unsigned
+boundedArg(const std::string &flag, const char *text, unsigned lo,
+           unsigned hi)
+{
+    auto v = sweep::parseDecimal<std::uint64_t>(flag.c_str(), text);
+    if (v < lo || v > hi)
+        fatal("%s must be in [%u, %u], got %llu", flag.c_str(), lo, hi,
+              static_cast<unsigned long long>(v));
+    return static_cast<unsigned>(v);
+}
+
 CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions opts;
-    if (const char *env = std::getenv("MDA_FUZZ_CHECKS"))
-        opts.campaign.oracle.checks = (std::string(env) != "0");
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
         auto next = [&]() -> const char * {
@@ -78,37 +87,22 @@ parseArgs(int argc, char **argv)
             return argv[++a];
         };
         if (arg == "--iterations") {
-            long long v = std::atoll(next());
-            if (v < 1 || v > 1'000'000)
-                fatal("--iterations must be in [1, 1000000], got %lld",
-                      v);
-            opts.campaign.iterations = static_cast<unsigned>(v);
+            opts.campaign.iterations =
+                boundedArg(arg, next(), 1, 1'000'000);
         } else if (arg == "--seed") {
             opts.campaign.seed =
-                std::strtoull(next(), nullptr, 0);
+                sweep::parseDecimal<std::uint64_t>(arg.c_str(), next());
         } else if (arg == "--start") {
             opts.campaign.start =
-                std::strtoull(next(), nullptr, 0);
+                sweep::parseDecimal<std::uint64_t>(arg.c_str(), next());
         } else if (arg == "--jobs") {
-            long long v = std::atoll(next());
-            if (v < 0 || v > 1024)
-                fatal("--jobs must be in [0, 1024], got %lld", v);
-            opts.campaign.jobs = static_cast<unsigned>(v);
+            opts.campaign.jobs = boundedArg(arg, next(), 0, 1024);
         } else if (arg == "--max-ops") {
-            long long v = std::atoll(next());
-            if (v < 1 || v > 65536)
-                fatal("--max-ops must be in [1, 65536], got %lld", v);
-            opts.campaign.limits.maxOps = static_cast<unsigned>(v);
+            opts.campaign.limits.maxOps = boundedArg(arg, next(), 1, 65536);
         } else if (arg == "--min-ops") {
-            long long v = std::atoll(next());
-            if (v < 1 || v > 65536)
-                fatal("--min-ops must be in [1, 65536], got %lld", v);
-            opts.campaign.limits.minOps = static_cast<unsigned>(v);
+            opts.campaign.limits.minOps = boundedArg(arg, next(), 1, 65536);
         } else if (arg == "--max-tiles") {
-            long long v = std::atoll(next());
-            if (v < 1 || v > 64)
-                fatal("--max-tiles must be in [1, 64], got %lld", v);
-            opts.campaign.limits.maxTiles = static_cast<unsigned>(v);
+            opts.campaign.limits.maxTiles = boundedArg(arg, next(), 1, 64);
         } else if (arg == "--designs") {
             std::stringstream ss(next());
             std::string item;
@@ -120,18 +114,12 @@ parseArgs(int argc, char **argv)
             }
             if (opts.campaign.designFilter.empty())
                 fatal("--designs needs at least one design name");
-        } else if (arg == "--checks") {
-            opts.campaign.oracle.checks = true;
         } else if (arg == "--no-checks") {
             opts.campaign.oracle.checks = false;
         } else if (arg == "--no-shrink") {
             opts.doShrink = false;
         } else if (arg == "--shrink-runs") {
-            long long v = std::atoll(next());
-            if (v < 1 || v > 100'000)
-                fatal("--shrink-runs must be in [1, 100000], got %lld",
-                      v);
-            opts.shrink.maxRuns = static_cast<unsigned>(v);
+            opts.shrink.maxRuns = boundedArg(arg, next(), 1, 100'000);
         } else if (arg == "--repro-file") {
             opts.reproFile = next();
         } else if (arg == "--repro-out") {
@@ -243,6 +231,10 @@ int
 main(int argc, char **argv)
 {
     CliOptions opts = parseArgs(argc, argv);
+    // Failures come back as data and are printed below; the checker's
+    // per-mismatch warnings would repeat them on stderr for every
+    // failing iteration and every shrink candidate.
+    setQuietLogging(true);
     if (!opts.reproFile.empty())
         return replayRepro(opts);
     return runFuzz(opts);

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "harness/hierarchy.hh"
-#include "reference_model.hh"
+#include "harness/system.hh"
 
 namespace mda::fuzz
 {
@@ -12,33 +11,29 @@ namespace mda::fuzz
 namespace
 {
 
-/** CPU stand-in: collects responses; sends spin on the event loop. */
-class FuzzCpu : public MemClient
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+/** The scenario's policy knobs under @p design; the data checker runs
+ *  whenever no op takes the functional path. */
+SystemConfig
+systemConfig(DesignPoint design, const Scenario &s)
 {
-  public:
-    void
-    recvResponse(PacketPtr pkt) override
-    {
-        responses.push_back(std::move(pkt));
-    }
+    SystemConfig config;
+    config.design = design;
+    config.prefetchDegree = s.config.prefetch ? 2 : 0;
+    config.gatherHits = s.config.gatherHits;
+    config.tileWritePenalty = s.config.tileWritePenalty;
+    config.checkData = s.config.samplePeriod == 0;
+    return config;
+}
 
-    void recvRetry() override {}
-
-    std::vector<PacketPtr> responses;
-};
-
-/** The scenario's hierarchy under @p design: its tiny geometries with
- *  1+n latencies, degree-2 baseline prefetching, and the shadow-map
- *  audit whenever the per-event checks run. */
+/** The scenario's hierarchy under @p config: its tiny geometries with
+ *  1+n latencies, and the shadow-map audit whenever the per-event
+ *  checks run. */
 std::vector<LevelSpec>
-levelSpecs(DesignPoint design, const Scenario &s,
+levelSpecs(const SystemConfig &config, const Scenario &s,
            const OracleOptions &opts)
 {
-    SystemConfig knobs;
-    knobs.design = design;
-    knobs.prefetchDegree = s.config.prefetch ? 2 : 0;
-    knobs.gatherHits = s.config.gatherHits;
-    knobs.tileWritePenalty = s.config.tileWritePenalty;
     std::vector<CacheConfig> caches;
     for (const LevelGeometry &geom : s.config.levels) {
         CacheConfig c;
@@ -55,141 +50,121 @@ levelSpecs(DesignPoint design, const Scenario &s,
         c.parallelTagData = caches.empty();
         caches.push_back(c);
     }
-    std::vector<LevelSpec> specs = specsFor(knobs, caches);
+    std::vector<LevelSpec> specs = specsFor(config, caches);
     for (LevelSpec &spec : specs)
         spec.shadowAudit = opts.checks;
     return specs;
 }
 
-/** One design point's private hierarchy plus the replay engine. */
+/**
+ * The CPU's stream for @p s: the scenario's ops (pc = index + 1),
+ * then, for checked runs, one scalar row read of every word the trace
+ * touches (pc 0), in address order: the readback.
+ */
+std::vector<compiler::TraceOp>
+cpuStream(const Scenario &s)
+{
+    std::vector<compiler::TraceOp> stream;
+    std::vector<Addr> touched;
+    for (std::size_t i = 0; i < s.trace.size(); ++i) {
+        const TraceOp &op = s.trace[i];
+        compiler::TraceOp cpu_op;
+        cpu_op.addr = op.addr;
+        cpu_op.orient = op.orient;
+        cpu_op.isWrite = op.write;
+        cpu_op.isVector = op.vector;
+        cpu_op.wordMask = op.vector ? 0xff : 0x01;
+        cpu_op.pc = static_cast<std::uint32_t>(i + 1);
+        stream.push_back(cpu_op);
+        for (unsigned k = 0; k < (op.vector ? lineWords : 1); ++k) {
+            touched.push_back(op.vector ? op.line().wordAddr(k)
+                                        : alignDown(op.addr, wordBytes));
+        }
+    }
+    if (s.config.samplePeriod > 0)
+        return stream;
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    for (Addr addr : touched) {
+        compiler::TraceOp read;
+        read.addr = addr;
+        read.pc = 0;
+        stream.push_back(read);
+    }
+    return stream;
+}
+
+/** One design point's System, driven one issue group at a time. */
 class DesignRun
 {
   public:
-    DesignRun(DesignPoint design, const Scenario &s,
-              const OracleOptions &opts)
-        : _design(design), _scenario(s), _opts(opts),
-          _hier(_eq, _sg, levelSpecs(design, s, opts))
-    {
-        _hier.attach(_cpu);
-    }
+    DesignRun(const SystemConfig &config, const Scenario &s,
+              const OracleOptions &opts,
+              std::vector<compiler::TraceOp> stream)
+        : _design(config.design), _scenario(s), _opts(opts),
+          _streamOps(stream.size()),
+          _sys(config, levelSpecs(config, s, opts),
+               std::make_unique<trace::VectorSource>(std::move(stream)))
+    {}
 
     const std::vector<Failure> &failures() const { return _failures; }
 
-    /** Replay the trace and run the post-drain checks. */
-    bool
-    execute(const std::vector<std::vector<std::uint64_t>> &expect)
+    /** Run the trace, the post-drain checks and the readback. */
+    void
+    execute()
     {
         const auto &trace = _scenario.trace;
-        if (_scenario.config.samplePeriod > 0) {
+        const FuzzConfig &cfg = _scenario.config;
+        std::size_t i = 0;
+        while (i < trace.size()) {
             // Sampled interleave: the first sampleWindow ops of every
             // period go through the timed path (each drained — the
             // generator serializes sampled traces), the rest through
-            // functionalAccess, exactly the alternation a sampled
+            // the functional path, exactly the alternation a sampled
             // System run performs. The interesting bugs live at the
             // boundaries: timed traffic over functionally-installed
             // state and vice versa.
-            for (std::size_t i = 0; i < trace.size(); ++i) {
-                bool timed = (i % _scenario.config.samplePeriod) <
-                             _scenario.config.sampleWindow;
-                if (timed) {
-                    if (!issueBatch(i, i + 1, expect))
-                        return false;
-                } else {
-                    applyFunctional(i);
-                    if (_opts.checks && !sweepInvariants(i))
-                        return false;
-                }
+            if (cfg.samplePeriod > 0 &&
+                i % cfg.samplePeriod >= cfg.sampleWindow) {
+                _sys.cpu().fastForward(1);
+                if (_opts.checks && !sweepInvariants(i))
+                    return;
+                ++i;
+                continue;
             }
-            return finishChecks();
-        }
-        std::size_t i = 0;
-        while (i < trace.size()) {
-            if (trace[i].concurrent) {
-                std::size_t end = i;
+            std::size_t end = i + 1;
+            if (cfg.samplePeriod == 0 && trace[i].concurrent) {
                 while (end < trace.size() && trace[end].concurrent)
                     ++end;
-                if (!issueBatch(i, end, expect))
-                    return false;
-                i = end;
-            } else {
-                if (!issueBatch(i, i + 1, expect))
-                    return false;
-                ++i;
             }
+            if (!runGroup(i, end - i))
+                return;
+            i = end;
         }
-        return finishChecks();
-    }
-
-    /**
-     * Read every word of @p touched back through the drained
-     * hierarchy and compare against the reference model.
-     */
-    bool
-    readback(const ReferenceModel &ref,
-             const std::vector<Addr> &touched,
-             std::vector<std::uint64_t> &image)
-    {
-        for (Addr addr : touched) {
-            auto pkt = Packet::makeScalar(MemCmd::Read, addr,
-                                          Orientation::Row, 0,
-                                          _eq.curTick(), &_hier.pool());
-            if (!send(std::move(pkt), npos) || !runToQuiescence(npos))
-                return false;
-            if (_cpu.responses.size() != 1) {
-                fail(FailureKind::LostResponse, npos,
-                     "readback of word " + std::to_string(addr) +
-                         " produced " +
-                         std::to_string(_cpu.responses.size()) +
-                         " responses (expected 1)");
-                return false;
-            }
-            std::uint64_t got = _cpu.responses.front()->word(0);
-            _cpu.responses.clear();
-            if (got != ref.read(addr)) {
-                fail(FailureKind::FinalState, npos,
-                     "word " + std::to_string(addr) +
-                         " drained to " + std::to_string(got) +
-                         ", reference has " +
-                         std::to_string(ref.read(addr)));
-                return false;
-            }
-            image.push_back(got);
+        if (!finishChecks())
+            return;
+        // The readback: one drained read per touched word.
+        for (std::size_t pos = trace.size(); pos < _streamOps; ++pos) {
+            if (!runGroup(pos, 1))
+                return;
         }
-        return true;
     }
 
   private:
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
     /** Post-trace structure: nothing may leak from the trace, and
      *  the final image must satisfy the invariants even when the
      *  per-event sweeps were disabled. */
     bool
     finishChecks()
     {
-        for (const auto &cache : _hier.levels()) {
+        for (const auto &cache : _sys.hierarchy().levels()) {
             for (std::string &v : cache->checkDrained())
                 fail(FailureKind::DrainLeak, npos, std::move(v));
         }
         if (!_failures.empty())
             return false;
         return sweepInvariants(npos);
-    }
-
-    /** Apply trace op @p i through the functional (state-only) path.
-     *  @pre the timed machinery is idle (the caller drains first). */
-    void
-    applyFunctional(std::size_t i)
-    {
-        const TraceOp &op = _scenario.trace[i];
-        FunctionalReq req;
-        req.line = op.line();
-        req.addr = op.addr;
-        req.pc = i + 1;
-        req.isLine = op.vector;
-        req.wordMask = op.vector ? 0xff : 0x01;
-        req.isWrite = op.write;
-        top().functionalAccess(req);
     }
 
     void
@@ -199,23 +174,10 @@ class DesignRun
             {kind, _design, std::move(detail), op_index});
     }
 
-    MemDevice &top() { return _hier.top(); }
-
-    bool
-    budgetExceeded(std::size_t op_index)
-    {
-        if (++_steps <= _opts.maxSteps)
-            return false;
-        fail(FailureKind::Deadlock, op_index,
-             "event budget (" + std::to_string(_opts.maxSteps) +
-                 " steps) exceeded — livelock?");
-        return true;
-    }
-
     bool
     sweepInvariants(std::size_t op_index)
     {
-        for (const auto &cache : _hier.levels()) {
+        for (const auto &cache : _sys.hierarchy().levels()) {
             std::vector<std::string> v = cache->checkInvariants();
             if (!v.empty()) {
                 fail(FailureKind::Invariant, op_index,
@@ -226,140 +188,69 @@ class DesignRun
         return true;
     }
 
-    bool
-    send(PacketPtr pkt, std::size_t op_index)
-    {
-        while (!top().tryRequest(pkt)) {
-            if (budgetExceeded(op_index))
-                return false;
-            if (!_eq.step()) {
-                fail(FailureKind::Deadlock, op_index,
-                     "request rejected with an empty event queue");
-                return false;
-            }
-            if (_opts.checks && !sweepInvariants(op_index))
-                return false;
-        }
-        return true;
-    }
-
-    bool
-    runToQuiescence(std::size_t op_index)
-    {
-        while (_eq.step()) {
-            if (budgetExceeded(op_index))
-                return false;
-            if (_opts.checks && !sweepInvariants(op_index))
-                return false;
-        }
-        return true;
-    }
-
-    /** Build the packet for trace op @p i (write data included). */
-    PacketPtr
-    makeOp(std::size_t i)
-    {
-        const TraceOp &op = _scenario.trace[i];
-        MemCmd cmd = op.write ? MemCmd::Write : MemCmd::Read;
-        auto pc = static_cast<std::uint32_t>(i + 1);
-        if (op.vector) {
-            auto pkt = Packet::makeVector(cmd, op.line(), pc,
-                                          _eq.curTick(), &_hier.pool());
-            if (op.write)
-                for (unsigned k = 0; k < lineWords; ++k)
-                    pkt->setWord(k, writeValue(_scenario.seed, i, k));
-            return pkt;
-        }
-        auto pkt = Packet::makeScalar(cmd, op.addr, op.orient, pc,
-                                      _eq.curTick(), &_hier.pool());
-        if (op.write)
-            pkt->setWord(0, writeValue(_scenario.seed, i, 0));
-        return pkt;
-    }
-
     /**
-     * Issue ops [first, last), run to quiescence, and verify every
-     * response against the per-op reference expectations.
+     * Issue stream ops [first, first + count) and step the event
+     * queue until it empties; then every op must have issued, every
+     * response arrived, and the checker seen no mismatch.
      */
     bool
-    issueBatch(std::size_t first, std::size_t last,
-               const std::vector<std::vector<std::uint64_t>> &expect)
+    runGroup(std::size_t first, std::uint64_t count)
     {
-        std::vector<std::uint64_t> sent;
-        for (std::size_t i = first; i < last; ++i) {
-            PacketPtr pkt = makeOp(i);
-            sent.push_back(pkt->id);
-            if (!send(std::move(pkt), i))
-                return false;
-        }
-        if (!runToQuiescence(first))
-            return false;
-
-        std::vector<bool> answered(sent.size(), false);
-        for (PacketPtr &rsp : _cpu.responses) {
-            std::size_t k = answeredOp(sent, answered, rsp->id);
-            if (k == npos) {
-                fail(FailureKind::LostResponse, first,
-                     "unexpected response id " +
-                         std::to_string(rsp->id));
+        const auto &trace = _scenario.trace;
+        const std::size_t at = first < trace.size() ? first : npos;
+        TraceCpu &cpu = _sys.cpu();
+        cpu.setIssueBudget(count);
+        cpu.start();
+        while (_sys.eventQueue().step()) {
+            if (++_steps > _opts.maxSteps) {
+                fail(FailureKind::Deadlock, at,
+                     "event budget (" + std::to_string(_opts.maxSteps) +
+                         " steps) exceeded — livelock?");
                 return false;
             }
-            if (!verifyRead(first + k, *rsp, expect[first + k]))
+            if (_opts.checks && !sweepInvariants(at))
                 return false;
         }
-        _cpu.responses.clear();
-        // Report the lowest lost op, so the repro is deterministic.
-        auto lost = std::find(answered.begin(), answered.end(), false);
-        if (lost == answered.end())
-            return true;
-        fail(FailureKind::LostResponse,
-             first + static_cast<std::size_t>(lost - answered.begin()),
-             "op never received its response (" +
-                 std::to_string(std::count(lost, answered.end(), false)) +
-                 " lost in this batch)");
-        return false;
-    }
-
-    bool
-    verifyRead(std::size_t i, const Packet &rsp,
-               const std::vector<std::uint64_t> &expected)
-    {
-        // The functional path moves no payload, so once any op has
-        // been applied functionally the data plane is unspecified —
-        // sampled runs check structure, not values (mirroring the
-        // System-level checkData incompatibility).
-        if (_scenario.config.samplePeriod > 0)
-            return true;
-        const TraceOp &op = _scenario.trace[i];
-        if (op.write)
-            return true; // write responses carry no checked data
-        unsigned words = op.vector ? lineWords : 1;
-        for (unsigned k = 0; k < words; ++k) {
-            if (rsp.word(k) == expected[k])
-                continue;
-            Addr addr = op.vector ? op.line().wordAddr(k)
-                                  : alignDown(op.addr, wordBytes);
-            fail(FailureKind::ReadMismatch, i,
-                 std::string(op.vector ? "vector" : "scalar") +
-                     " read of word " + std::to_string(addr) +
-                     " returned " + std::to_string(rsp.word(k)) +
-                     ", reference has " + std::to_string(expected[k]));
+        if (cpu.issueBudget() != 0) {
+            fail(FailureKind::Deadlock, at,
+                 std::to_string(cpu.issueBudget()) + " of " +
+                     std::to_string(count) +
+                     " ops never issued before the event queue "
+                     "emptied");
             return false;
         }
-        return true;
+        if (cpu.outstanding() != 0) {
+            fail(FailureKind::LostResponse, at,
+                 std::to_string(cpu.outstanding()) + " of " +
+                     std::to_string(count) +
+                     " ops never received their response");
+            return false;
+        }
+        const std::optional<CheckMismatch> &m = cpu.firstMismatch();
+        if (!m)
+            return true;
+        const std::string got = std::to_string(m->got);
+        const std::string want = std::to_string(m->want);
+        const std::string word = std::to_string(m->addr);
+        if (m->pos < trace.size()) {
+            fail(FailureKind::ReadMismatch, m->pos,
+                 std::string(trace[m->pos].vector ? "vector" : "scalar") +
+                     " read of word " + word + " returned " + got +
+                     ", reference has " + want + " (tick " +
+                     std::to_string(m->tick) + ")");
+        } else {
+            fail(FailureKind::FinalState, npos,
+                 "word " + word + " drained to " + got +
+                     ", reference has " + want);
+        }
+        return false;
     }
 
     DesignPoint _design;
     const Scenario &_scenario;
     const OracleOptions &_opts;
-
-    EventQueue _eq;
-    stats::StatGroup _sg;
-
-    /** Declared before the CPU so it drops the responses it holds
-     *  while the hierarchy's pool is still alive. */
-    Hierarchy _hier;
-    FuzzCpu _cpu;
+    std::size_t _streamOps;
+    System _sys;
 
     std::uint64_t _steps = 0;
     std::vector<Failure> _failures;
@@ -375,7 +266,6 @@ failureKindName(FailureKind kind)
       case FailureKind::Invariant: return "invariant";
       case FailureKind::DrainLeak: return "drain-leak";
       case FailureKind::FinalState: return "final-state";
-      case FailureKind::CrossDesign: return "cross-design";
       case FailureKind::LostResponse: return "lost-response";
       case FailureKind::Deadlock: return "deadlock";
     }
@@ -387,7 +277,7 @@ failureText(const Failure &f)
 {
     std::string text = std::string(failureKindName(f.kind)) + " [" +
                        designName(f.design) + "]";
-    if (f.opIndex != static_cast<std::size_t>(-1))
+    if (f.opIndex != npos)
         text += " at op " + std::to_string(f.opIndex);
     return text + ": " + f.detail;
 }
@@ -407,26 +297,6 @@ designApplicable(DesignPoint design,
                         });
 }
 
-std::uint64_t
-writeValue(std::uint64_t seed, std::size_t opIndex, unsigned k)
-{
-    return Rng::streamSeed(
-        seed ^ 0xda7aULL,
-        (static_cast<std::uint64_t>(opIndex) << 3) | k);
-}
-
-std::size_t
-answeredOp(const std::vector<std::uint64_t> &sent,
-           std::vector<bool> &answered, std::uint64_t id)
-{
-    auto k = static_cast<std::size_t>(
-        std::find(sent.begin(), sent.end(), id) - sent.begin());
-    if (k == sent.size() || answered[k])
-        return static_cast<std::size_t>(-1);
-    answered[k] = true;
-    return k;
-}
-
 std::vector<Failure>
 runOracle(const Scenario &s, const OracleOptions &opts)
 {
@@ -441,74 +311,13 @@ runOracle(const Scenario &s, const OracleOptions &opts)
         }
     }
 
-    // Program-order reference pass: final memory image plus the value
-    // every read must observe at its issue point. Concurrent batches
-    // are read-only, so issue order within a batch cannot matter.
-    ReferenceModel ref;
-    std::vector<std::vector<std::uint64_t>> expect(s.trace.size());
-    std::vector<Addr> touched;
-    for (std::size_t i = 0; i < s.trace.size(); ++i) {
-        const TraceOp &op = s.trace[i];
-        if (op.vector) {
-            OrientedLine line = op.line();
-            for (unsigned k = 0; k < lineWords; ++k) {
-                Addr addr = line.wordAddr(k);
-                touched.push_back(addr);
-                if (op.write)
-                    ref.write(addr, writeValue(s.seed, i, k));
-                else
-                    expect[i].push_back(ref.read(addr));
-            }
-        } else {
-            Addr addr = alignDown(op.addr, wordBytes);
-            touched.push_back(addr);
-            if (op.write)
-                ref.write(addr, writeValue(s.seed, i, 0));
-            else
-                expect[i].push_back(ref.read(addr));
-        }
-    }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
-
+    const std::vector<compiler::TraceOp> stream = cpuStream(s);
     std::vector<Failure> failures;
-    std::vector<std::pair<DesignPoint, std::vector<std::uint64_t>>>
-        images;
     for (DesignPoint d : s.config.designs) {
-        DesignRun run(d, s, opts);
-        std::vector<std::uint64_t> image;
-        // Sampled scenarios interleave the functional path, which
-        // moves no payload: the drained data plane is unspecified, so
-        // the value checks (readback + cross-design image comparison)
-        // are skipped and the run stands on structural checks alone.
-        if (run.execute(expect) && s.config.samplePeriod == 0 &&
-            run.readback(ref, touched, image))
-            images.emplace_back(d, std::move(image));
+        DesignRun run(systemConfig(d, s), s, opts, stream);
+        run.execute();
         failures.insert(failures.end(), run.failures().begin(),
                         run.failures().end());
-    }
-
-    // Cross-design agreement of the drained memory images. With every
-    // image already checked against the reference this is redundant
-    // in theory, but it is the differential guarantee the oracle
-    // promises, so check it explicitly.
-    for (std::size_t n = 1; n < images.size(); ++n) {
-        for (std::size_t w = 0; w < touched.size(); ++w) {
-            if (images[n].second[w] == images[0].second[w])
-                continue;
-            Failure f;
-            f.kind = FailureKind::CrossDesign;
-            f.design = images[n].first;
-            f.detail = "word " + std::to_string(touched[w]) +
-                       " drained to " +
-                       std::to_string(images[n].second[w]) + " under " +
-                       designName(images[n].first) + " but " +
-                       std::to_string(images[0].second[w]) + " under " +
-                       designName(images[0].first);
-            failures.push_back(std::move(f));
-            break;
-        }
     }
     return failures;
 }

@@ -1,31 +1,35 @@
 /**
  * @file
- * Differential oracle: run one fuzz scenario over every requested
- * design point and cross-check behavior.
+ * Fuzz oracle: run one fuzz scenario over every requested design
+ * point, each on the production System and TraceCpu.
  *
- * For each design point the oracle builds a private Hierarchy from
- * specsFor(), the builder System uses, over the scenario's tiny
- * geometries; it replays the trace and checks:
+ * For each design point the oracle builds a System over the
+ * scenario's tiny geometries (through specsFor(), as every run does),
+ * fed from a VectorSource holding the scenario's ops and then
+ * one scalar row read of every word the trace touches (the readback).
+ * It releases the stream one issue group at a time — a serialized op,
+ * or a run of concurrent reads — through the CPU's issue budget,
+ * steps the event queue to quiescence itself, and checks:
  *
- *  - every read response against the program-order reference model
- *    (writes always serialize, so the reference is exact even for
- *    reads issued in concurrent batches — batch members never overlap
- *    a write);
- *  - structural invariants between events (checkInvariants) when
+ *  - every read response, through TraceCpu's data checker: writes
+ *    apply to its reference in issue order and each read must return
+ *    the reference snapshot taken at its issue (each write is still
+ *    a group of its own);
+ *  - structural invariants (checkInvariants) between events when
  *    checks are enabled;
  *  - post-drain cleanliness (checkDrained: no leaked MSHR targets,
  *    stuck writebacks, or lost deferred packets);
- *  - the final memory state, by reading back every touched word
- *    through the drained hierarchy, against the reference model AND
- *    across design points.
+ *  - the final memory state: the readback goes through the same
+ *    checker, after the trace has drained.
  *
  * Failures are returned as data (not thrown) so the shrinker can
  * re-run candidate scenarios cheaply.
  *
  * Sampled scenarios (FuzzConfig::samplePeriod > 0) interleave the
- * timed and functional access paths the way SMARTS sampling does.
- * The functional path moves no payload, so those runs skip every
- * value check and stand on the structural ones: per-op invariants,
+ * timed and functional access paths the way SMARTS sampling does; the
+ * functional ops go through TraceCpu::fastForward. The functional
+ * path moves no payload, so those runs leave the checker off, skip
+ * the readback and stand on the structural checks: per-op invariants,
  * SoA-vs-shadow-map agreement, and drain cleanliness.
  */
 
@@ -47,7 +51,6 @@ enum class FailureKind : std::uint8_t
     Invariant,     ///< checkInvariants() reported a violation.
     DrainLeak,     ///< checkDrained() reported leftover state.
     FinalState,    ///< Post-drain readback disagrees with reference.
-    CrossDesign,   ///< Two designs drained to different memory images.
     LostResponse,  ///< An op never produced its response.
     Deadlock,      ///< Event queue emptied/stalled mid-trace.
 };
@@ -86,20 +89,11 @@ struct OracleOptions
 bool designApplicable(DesignPoint design,
                       const std::vector<TraceOp> &trace);
 
-/** Deterministic payload of write op @p opIndex, word @p k. */
-std::uint64_t writeValue(std::uint64_t seed, std::size_t opIndex,
-                         unsigned k);
-
-/** Index in @p sent (a batch's packet ids, in op order) of the op a
- *  response with packet id @p id answers, marked in @p answered; npos
- *  when no op went out as @p id or its op was answered already. */
-std::size_t answeredOp(const std::vector<std::uint64_t> &sent,
-                       std::vector<bool> &answered, std::uint64_t id);
-
 /**
- * Run the full differential oracle over @p s. Returns every failure
- * found (empty == the scenario passes). fatal()s on unusable input:
- * an inapplicable design point, or no levels.
+ * Run the oracle over @p s on each of its design points. Returns
+ * every failure found (empty == the scenario passes). fatal()s on
+ * unusable input: an inapplicable design point, no levels, or an
+ * empty trace.
  */
 std::vector<Failure> runOracle(const Scenario &s,
                                const OracleOptions &opts);

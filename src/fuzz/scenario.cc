@@ -81,7 +81,7 @@ generateScenario(std::uint64_t seed, const GenLimits &limits)
     }
 
     // The 1P1L baseline has no column transfers, so it joins the
-    // cross-design comparison only when the trace keeps vector ops in
+    // designs run only when the trace keeps vector ops in
     // the row direction (scalar column *preferences* are fine — the
     // baseline coerces them to rows, exactly as its compiler would).
     bool row_vectors_only = rng.chance(0.3);

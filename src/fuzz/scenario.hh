@@ -8,13 +8,13 @@
  *    associativity, MSHR count and target cap, write-buffer depth),
  *  - policy knobs (gather hits, baseline prefetching, the Fig. 16
  *    2P2L write penalty),
- *  - the design points to cross-check (Same-Set vs Different-Set
+ *  - the design points to run (Same-Set vs Different-Set
  *    1P2L, sparse vs dense 2P2L, and the 1P1L baseline whenever the
  *    trace is expressible on it), and
  *  - the trace itself: scalar/vector, row/column, read/write ops over
  *    a small tile arena with deliberately aliased hot words, where
  *    reads may be issued in concurrent batches (writes always
- *    serialize, so the program-order reference stays exact).
+ *    serialize: each drains before the next op issues).
  *
  * Scenarios are pure functions of their seed: generate(seed, limits)
  * is deterministic, and the text form (reproText / repro files) round

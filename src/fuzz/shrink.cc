@@ -72,8 +72,8 @@ class Shrinker
         auto &designs = _best.scenario.config.designs;
         if (designs.size() <= 1)
             return false;
-        // A single design reproduces most failures (anything but a
-        // pure cross-design disagreement).
+        // A single design reproduces most failures: every check
+        // runs within one design.
         for (DesignPoint d : designs) {
             Scenario cand = _best.scenario;
             cand.config.designs = {d};

@@ -1,7 +1,6 @@
 #include "sweep.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
 
 #include "sim/debug.hh"
@@ -18,20 +17,6 @@ resolveJobs(unsigned requested)
         return requested;
     unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;
-}
-
-unsigned
-parseJobs(const char *flag, const std::string &value)
-{
-    // from_chars takes no sign, space or base prefix for an unsigned
-    // target, and reports an empty value or one that does not fit.
-    unsigned jobs = 0;
-    const char *end = value.data() + value.size();
-    auto [stop, err] = std::from_chars(value.data(), end, jobs);
-    if (err != std::errc() || stop != end)
-        fatal("%s takes a worker count (0 = all cores), got '%s'", flag,
-              value.c_str());
-    return jobs;
 }
 
 Executor::Executor(unsigned jobs) : _jobs(resolveJobs(jobs))

@@ -29,6 +29,7 @@
 #define MDA_HARNESS_SWEEP_HH
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "runner.hh"
+#include "sim/logging.hh"
 
 namespace mda::sweep
 {
@@ -48,9 +50,32 @@ namespace mda::sweep
  *  1 even when the hardware cannot be queried). */
 unsigned resolveJobs(unsigned requested);
 
-/** Parse the value of @p flag (--jobs): a decimal count that fits in
- *  unsigned. Anything else (a sign, a suffix, overflow) is fatal. */
-unsigned parseJobs(const char *flag, const std::string &value);
+/**
+ * Parse the value of @p flag as a decimal @p T: the whole text, with
+ * a '-' allowed only for a signed @p T, and a value that fits. Any
+ * other text (a suffix, a base prefix, a space, overflow, nothing) is
+ * fatal, naming the flag, @p what it takes, and the text.
+ */
+template <typename T>
+T
+parseDecimal(const char *flag, const std::string &value,
+             const char *what = "a decimal number")
+{
+    T out{};
+    const char *end = value.data() + value.size();
+    auto [stop, err] = std::from_chars(value.data(), end, out);
+    if (err != std::errc() || stop != end)
+        fatal("%s takes %s, got '%s'", flag, what, value.c_str());
+    return out;
+}
+
+/** Parse the value of @p flag (--jobs): a decimal worker count. */
+inline unsigned
+parseJobs(const char *flag, const std::string &value)
+{
+    return parseDecimal<unsigned>(flag, value,
+                                  "a worker count (0 = all cores)");
+}
 
 /** Bounded worker pool executing sweep cells by index. */
 class Executor

@@ -39,9 +39,15 @@ System::System(const SystemConfig &config,
 
 System::System(const SystemConfig &config,
                std::unique_ptr<trace::TraceSource> source)
+    : System(config, specsFor(config, tableICaches(config)),
+             std::move(source))
+{}
+
+System::System(const SystemConfig &config,
+               const std::vector<LevelSpec> &specs,
+               std::unique_ptr<trace::TraceSource> source)
     : _config(config),
-      _hier(_eq, _stats, specsFor(config, tableICaches(config)),
-            config.memTiming, config.memTopo),
+      _hier(_eq, _stats, specs, config.memTiming, config.memTopo),
       _source(std::move(source))
 {
     if (config.sampling()) {

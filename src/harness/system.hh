@@ -47,8 +47,15 @@ class System
            const compiler::CompiledKernel &kernel);
 
     /** Drive the CPU from an arbitrary operation stream: a direct
-     *  workload emitter, a capturing tee, or a trace-file replay. */
+     *  workload emitter, a capturing tee, or a trace-file replay. The
+     *  caches are config's design over the Table I sizes. */
     System(const SystemConfig &config,
+           std::unique_ptr<trace::TraceSource> source);
+
+    /** Drive the CPU from @p source through the levels @p specs (the
+     *  fuzz oracle's tiny hierarchies). */
+    System(const SystemConfig &config,
+           const std::vector<LevelSpec> &specs,
            std::unique_ptr<trace::TraceSource> source);
 
     /** Run to completion and distill the results. With

@@ -44,7 +44,9 @@ TraceCpu::start()
 void
 TraceCpu::scheduleIssue(Tick when)
 {
-    if (_issueScheduled)
+    // With the budget spent, issue() would do nothing; leaving the
+    // event out lets the queue empty at the last response.
+    if (_issueScheduled || _issueBudget == 0)
         return;
     _issueScheduled = true;
     eventq().schedule(when, [this] {
@@ -69,25 +71,25 @@ TraceCpu::makePacket(const compiler::TraceOp &op)
     }
 
     if (_params.checkData) {
-        // Writes carry unique values, applied to the reference in
-        // issue order; reads snapshot the values they must return.
-        // Packet word k is a vector's masked word k, or a scalar's
-        // only word (k = 0).
+        // Every op opens an entry at its stream position. Writes carry
+        // unique values, applied to the reference in issue order;
+        // reads snapshot the values they must return. Packet word k is
+        // a vector's masked word k, or a scalar's only word (k = 0).
+        Expected &expected = _expected[*pkt];
+        expected.live = true;
+        expected.pos = _src.opsEmitted() - 1;
         const OrientedLine line = pkt->line();
         const unsigned mask = op.isVector ? op.wordMask : 0x01;
-        Expected *expected = op.isWrite ? nullptr : &_expected[*pkt];
-        if (expected)
-            *expected = Expected{true, {}};
         for (unsigned k = 0; k < lineWords; ++k) {
             if (!(mask & (1u << k)))
                 continue;
             Addr addr = op.isVector ? line.wordAddr(k) : pkt->addr;
-            if (expected) {
-                expected->words[k] = _reference.readWord(addr);
-            } else {
+            if (op.isWrite) {
                 std::uint64_t v = _nextValue++;
                 pkt->setWord(k, v);
                 _reference.writeWord(addr, v);
+            } else {
+                expected.words[k] = _reference.readWord(addr);
             }
         }
     }
@@ -219,20 +221,32 @@ TraceCpu::recvResponse(PacketPtr pkt)
     _loadLatency.sample(
         static_cast<double>(curTick() - pkt->issueTick));
 
-    if (_params.checkData && pkt->cmd == MemCmd::Read) {
+    if (_params.checkData) {
         Expected &expected = _expected[*pkt];
-        mda_assert(expected.live,
-                   "read response with no live checker entry");
+        mda_assert(expected.live, "%s response with no live checker entry",
+                   cmdName(pkt->cmd));
         expected.live = false;
-        const unsigned mask = pkt->isLine() ? pkt->wordMask : 0x01;
+        // A write's entry holds no words to compare.
+        const unsigned mask = pkt->cmd == MemCmd::Write ? 0
+                              : pkt->isLine() ? pkt->wordMask : 0x01;
         for (unsigned k = 0; k < lineWords; ++k) {
             if (!(mask & (1u << k)) || pkt->word(k) == expected.words[k])
                 continue;
             ++_checkFailures;
-            warn("data mismatch at %#llx word %u: got %llu want %llu",
+            Addr word = pkt->isLine() ? pkt->line().wordAddr(k)
+                                      : alignDown(pkt->addr, wordBytes);
+            if (!_firstMismatch) {
+                _firstMismatch = CheckMismatch{expected.pos, curTick(),
+                                               word, pkt->word(k),
+                                               expected.words[k]};
+            }
+            warn("data mismatch at %#llx word %u: got %llu want %llu "
+                 "(op %llu, tick %llu)",
                  (unsigned long long)pkt->addr, k,
                  (unsigned long long)pkt->word(k),
-                 (unsigned long long)expected.words[k]);
+                 (unsigned long long)expected.words[k],
+                 (unsigned long long)expected.pos,
+                 (unsigned long long)curTick());
         }
     }
 

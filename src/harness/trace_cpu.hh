@@ -7,13 +7,15 @@
  * cycle, compute delays between dependent operations, and a bounded
  * window of outstanding accesses (memory-level parallelism). The
  * trace is pulled through a trace::TraceSource — live compiler
- * generation, a capturing tee, or a replayed file — and nothing is
- * ever materialized.
+ * generation, a capturing tee, a replayed file, or a fuzz scenario's
+ * op list.
  *
  * With functional checking enabled, writes carry unique values and a
  * flat reference model is updated in issue (program) order; every
  * read response is compared against the reference snapshot taken at
- * issue. The cache hierarchy's ordering rules make this exact.
+ * issue. The cache hierarchy's ordering rules make this exact. Every
+ * checked op holds a live entry from issue to response, so a response
+ * the CPU never issued, or one that arrives twice, panics.
  */
 
 #ifndef MDA_HARNESS_TRACE_CPU_HH
@@ -21,6 +23,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 
 #include "mem/backing_store.hh"
 #include "sim/packet_pool.hh"
@@ -40,6 +43,16 @@ struct CpuParams
 
     /** Verify read data against a reference model (slower). */
     bool checkData = false;
+};
+
+/** A checked read response that disagreed with the reference. */
+struct CheckMismatch
+{
+    std::uint64_t pos = 0; ///< The read's stream position (0-based).
+    Tick tick = 0;         ///< When the response arrived.
+    Addr addr = 0;         ///< The mismatching word.
+    std::uint64_t got = 0;
+    std::uint64_t want = 0;
 };
 
 /** Trace-driven CPU. */
@@ -65,14 +78,28 @@ class TraceCpu : public SimObject, public MemClient
         return static_cast<std::uint64_t>(_checkFailures.value());
     }
 
+    /** The run's first data mismatch, if any (checker mode). */
+    const std::optional<CheckMismatch> &
+    firstMismatch() const
+    {
+        return _firstMismatch;
+    }
+
+    /** Operations issued and not yet answered. */
+    unsigned outstanding() const { return _outstanding; }
+
     /**
      * Cap further timed issues at @p n operations (a sampling
-     * measured window). When the budget is spent, issue() goes
-     * quiescent — in-flight responses drain and the event queue
-     * empties — without marking the trace done. The default (~0)
+     * measured window, or one fuzz issue group). When the budget is
+     * spent, the CPU schedules no issue event — in-flight responses
+     * drain and the event queue empties — without marking the trace
+     * done; start() resumes it under a new budget. The default (~0)
      * never exhausts.
      */
     void setIssueBudget(std::uint64_t n) { _issueBudget = n; }
+
+    /** Timed issues left in the current budget. */
+    std::uint64_t issueBudget() const { return _issueBudget; }
 
     /**
      * Fire @p hook once, the moment the issue budget drops to
@@ -139,16 +166,19 @@ class TraceCpu : public SimObject, public MemClient
     std::uint64_t _hookAt = ~std::uint64_t{0};
     std::function<void()> _budgetHook;
 
-    /** A checked read's expected values, snapshot at issue. */
+    /** A checked op in flight: its stream position and, for a read,
+     *  the values it must return, snapshot at issue. */
     struct Expected
     {
         bool live = false;
+        std::uint64_t pos = 0;
         std::array<std::uint64_t, lineWords> words{};
     };
 
-    /** Reference model + per-packet expected read values. */
+    /** Reference model + per-packet checker entries. */
     BackingStore _reference;
     SlotTable<Expected> _expected;
+    std::optional<CheckMismatch> _firstMismatch;
 
     stats::Scalar _ops, _vectorOps, _readOps, _writeOps;
     stats::Scalar _colOps;

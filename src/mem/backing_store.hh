@@ -10,8 +10,7 @@
  * Zero-init guarantee: a word that was never written reads as zero —
  * unallocated frames read as zero and fresh frames are zero-filled
  * before the first write lands. Cold reads through any cache
- * hierarchy therefore return 0, and fuzz::ReferenceModel mirrors
- * exactly this semantics (tested per design point by
+ * hierarchy therefore return 0 (tested per design point by
  * ColdReads.ReturnZero* in tests/core/test_coherence_property.cc).
  */
 

@@ -5,11 +5,11 @@
  * The CPU model pulls TraceOps through this interface and never knows
  * whether they are generated live from a compiled kernel
  * (GeneratorSource), generated live while being captured to a trace
- * file (CaptureSource), or replayed from a previously captured file
- * (ReplaySource). Replay produces the exact operation stream of live
- * generation, so simulated timing and every statistic are
- * byte-identical — only the host-side cost of walking the loop nest
- * is eliminated.
+ * file (CaptureSource), replayed from a previously captured file
+ * (ReplaySource), or read from a list in memory (VectorSource).
+ * Replay produces the exact operation stream of live generation, so
+ * simulated timing and every statistic are byte-identical — only the
+ * host-side cost of walking the loop nest is eliminated.
  */
 
 #ifndef MDA_TRACE_TRACE_SOURCE_HH
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "compiler/trace_gen.hh"
 #include "trace_reader.hh"
@@ -71,6 +72,33 @@ class GeneratorSource : public TraceSource
 
   private:
     compiler::TraceGenerator _gen;
+};
+
+/** A fixed operation list held in memory (fuzz scenarios). */
+class VectorSource : public TraceSource
+{
+  public:
+    explicit VectorSource(std::vector<compiler::TraceOp> ops)
+        : _ops(std::move(ops))
+    {}
+
+    bool
+    next(compiler::TraceOp &op) override
+    {
+        if (_next == _ops.size())
+            return false;
+        op = _ops[_next++];
+        return true;
+    }
+
+    void reset() override { _next = 0; }
+    std::uint64_t opsEmitted() const override { return _next; }
+    /** Exact: the list's length. */
+    std::uint64_t sizeHint() const override { return _ops.size(); }
+
+  private:
+    std::vector<compiler::TraceOp> _ops;
+    std::size_t _next = 0;
 };
 
 /** Tee: pass an inner source through while writing it to a file.

@@ -16,7 +16,7 @@
 
 #include <map>
 
-#include "fuzz/reference_model.hh"
+#include "mem/backing_store.hh"
 #include "sim/random.hh"
 #include "test_rig.hh"
 
@@ -25,15 +25,13 @@ namespace mda::testing
 namespace
 {
 
-using fuzz::ReferenceModel;
-
 /** Drive @p ops random serialized operations; check every read. */
 void
 runSerialRandomTraffic(TestRig &rig, unsigned ops, std::uint64_t seed,
                        unsigned tiles)
 {
     Rng rng(seed);
-    ReferenceModel ref;
+    BackingStore ref;
     std::uint64_t next_value = 1;
 
     for (unsigned n = 0; n < ops; ++n) {
@@ -49,10 +47,10 @@ runSerialRandomTraffic(TestRig &rig, unsigned ops, std::uint64_t seed,
             Addr addr = tileBase(tile) + r * lineBytes + c * wordBytes;
             if (is_write) {
                 std::uint64_t v = next_value++;
-                ref.write(addr, v);
+                ref.writeWord(addr, v);
                 rig.writeWord(addr, v, orient);
             } else {
-                ASSERT_EQ(rig.readWord(addr, orient), ref.read(addr))
+                ASSERT_EQ(rig.readWord(addr, orient), ref.readWord(addr))
                     << "scalar read mismatch at op " << n;
             }
         } else {
@@ -62,13 +60,13 @@ runSerialRandomTraffic(TestRig &rig, unsigned ops, std::uint64_t seed,
                 std::array<std::uint64_t, lineWords> vals;
                 for (unsigned k = 0; k < lineWords; ++k) {
                     vals[k] = next_value++;
-                    ref.write(line.wordAddr(k), vals[k]);
+                    ref.writeWord(line.wordAddr(k), vals[k]);
                 }
                 rig.writeLine(line, vals);
             } else {
                 auto vals = rig.readLine(line);
                 for (unsigned k = 0; k < lineWords; ++k) {
-                    ASSERT_EQ(vals[k], ref.read(line.wordAddr(k)))
+                    ASSERT_EQ(vals[k], ref.readWord(line.wordAddr(k)))
                         << "vector read mismatch at op " << n
                         << " word " << k << " ("
                         << orientName(orient) << ")";
@@ -137,16 +135,16 @@ TEST(CoherenceProperty, BaselineRowOnly)
     rig.connect();
     // Row-only traffic (the baseline compiler never emits columns).
     Rng rng(606);
-    ReferenceModel ref;
+    BackingStore ref;
     std::uint64_t next_value = 1;
     for (unsigned n = 0; n < 4000; ++n) {
         Addr addr = alignDown(rng.below(8 * tileBytes), wordBytes);
         if (rng.chance(0.4)) {
             std::uint64_t v = next_value++;
-            ref.write(addr, v);
+            ref.writeWord(addr, v);
             rig.writeWord(addr, v);
         } else {
-            ASSERT_EQ(rig.readWord(addr), ref.read(addr));
+            ASSERT_EQ(rig.readWord(addr), ref.readWord(addr));
         }
     }
 }
@@ -245,13 +243,13 @@ TEST(CoherenceProperty, ConcurrentReadsAfterWrites)
     rig.connect();
 
     constexpr unsigned tiles = 4;
-    ReferenceModel ref;
+    BackingStore ref;
     Rng rng(707);
     for (std::uint64_t tile = 0; tile < tiles; ++tile) {
         for (unsigned w = 0; w < 64; ++w) {
             Addr addr = tileBase(tile) + w * wordBytes;
             std::uint64_t v = rng.next();
-            ref.write(addr, v);
+            ref.writeWord(addr, v);
             rig.writeWord(addr, v,
                           rng.chance(0.5) ? Orientation::Row
                                           : Orientation::Col);
@@ -288,12 +286,12 @@ TEST(CoherenceProperty, ConcurrentReadsAfterWrites)
         for (auto &rsp : rig.cpu.responses) {
             auto its = expectations.find(rsp->id);
             if (its != expectations.end()) {
-                EXPECT_EQ(rsp->word(0), ref.read(its->second));
+                EXPECT_EQ(rsp->word(0), ref.readWord(its->second));
                 continue;
             }
             const OrientedLine &line = line_expect.at(rsp->id);
             for (unsigned k = 0; k < lineWords; ++k)
-                EXPECT_EQ(rsp->word(k), ref.read(line.wordAddr(k)));
+                EXPECT_EQ(rsp->word(k), ref.readWord(line.wordAddr(k)));
         }
         rig.cpu.responses.clear();
     }

@@ -54,6 +54,7 @@ TEST(FuzzCli, RejectsOutOfRangeValues)
     expectFatal("--jobs 2000", "--jobs must be in");
     expectFatal("--max-ops 0", "--max-ops must be in");
     expectFatal("--max-tiles 65", "--max-tiles must be in");
+    expectFatal("--shrink-runs 100001", "--shrink-runs must be in");
     expectFatal("--min-ops 50 --max-ops 10", "exceeds --max-ops");
 }
 
@@ -62,6 +63,13 @@ TEST(FuzzCli, RejectsMalformedOptions)
     expectFatal("--bogus-flag", "unknown option");
     expectFatal("--seed", "missing value");
     expectFatal("--designs NoSuchDesign", "unknown design point");
+    // Numbers are whole decimals: no silent seed 0, no dropped suffix.
+    expectFatal("--seed abc", "--seed takes a decimal number, got 'abc'");
+    expectFatal("--start 0x10", "--start takes a decimal number");
+    expectFatal("--iterations 2x", "--iterations takes a decimal number");
+    expectFatal("--jobs 1x", "--jobs takes a decimal number, got '1x'");
+    expectFatal("--jobs -1", "--jobs takes a decimal number");
+    expectFatal("--max-ops ''", "--max-ops takes a decimal number");
 }
 
 TEST(FuzzCli, RejectsDeferredDesign3)

@@ -34,14 +34,6 @@ TEST(Oracle, CleanModelPassesAcrossSeeds)
     }
 }
 
-TEST(Oracle, WriteValuesAreDeterministicAndDistinct)
-{
-    EXPECT_EQ(writeValue(9, 4, 2), writeValue(9, 4, 2));
-    EXPECT_NE(writeValue(9, 4, 2), writeValue(9, 4, 3));
-    EXPECT_NE(writeValue(9, 4, 2), writeValue(9, 5, 2));
-    EXPECT_NE(writeValue(9, 4, 2), writeValue(10, 4, 2));
-}
-
 TEST(Oracle, BaselineApplicabilityTracksColumnVectors)
 {
     Scenario s = generateScenario(17, smallLimits());
@@ -57,22 +49,6 @@ TEST(Oracle, BaselineApplicabilityTracksColumnVectors)
     // 2-D designs express anything.
     EXPECT_TRUE(designApplicable(DesignPoint::D1_1P2L, s.trace));
     EXPECT_TRUE(designApplicable(DesignPoint::D2_2P2L, s.trace));
-}
-
-TEST(Oracle, ResponsesAnswerOpsByPacketIdOnce)
-{
-    // A batch's three ops went out as packets 7, 9 and 12. A response
-    // answers the op sent with its id; issueBatch reports anything
-    // else (npos) as a lost response. A same-line fill carries its
-    // demand's pc but its own id, so it answers nothing.
-    const std::vector<std::uint64_t> sent{7, 9, 12};
-    std::vector<bool> answered(sent.size(), false);
-    constexpr auto npos = static_cast<std::size_t>(-1);
-    EXPECT_EQ(answeredOp(sent, answered, 12), 2u);
-    EXPECT_EQ(answeredOp(sent, answered, 8), npos);  // foreign id
-    EXPECT_EQ(answeredOp(sent, answered, 12), npos); // duplicate
-    EXPECT_EQ(answeredOp(sent, answered, 7), 0u);
-    EXPECT_EQ(answered, (std::vector<bool>{true, false, true}));
 }
 
 TEST(OracleDeathTest, DeferredDesign3IsRejected)

@@ -48,8 +48,8 @@ TEST(Scenario, RespectsGenerationLimits)
         EXPECT_LE(s.config.levels.size(), 3u);
         EXPECT_FALSE(s.config.designs.empty());
         for (const TraceOp &op : s.trace) {
-            // Writes are always serialized (the reference model is
-            // program order).
+            // Writes are always serialized: the generator never
+            // batches one.
             if (op.write)
                 EXPECT_FALSE(op.concurrent);
         }

@@ -70,6 +70,20 @@ TEST(BenchOptionsDeathTest, MalformedJobsIsFatal)
     }
 }
 
+TEST(BenchOptionsDeathTest, MalformedNumbersAreFatal)
+{
+    // Every numeric flag reads its whole value as a decimal.
+    for (const char *flag : {"--n", "--stats-interval", "--sample-period",
+                             "--sample-window"}) {
+        for (const char *bad : {"abc", "64x", "-8", "1e3", ""}) {
+            EXPECT_EXIT(parseArgs({flag, bad}), testing::ExitedWithCode(1),
+                        std::string(flag) +
+                            " takes a decimal number, got '" + bad + "'")
+                << flag << " " << bad;
+        }
+    }
+}
+
 TEST(BenchOptionsDeathTest, UnwritableStatsOutputIsFatalBeforeRunning)
 {
     // Fatal when the runner is built, before any cell could run.

@@ -150,6 +150,33 @@ TEST(SweepExecutor, ResolveJobs)
     EXPECT_EQ(sweep::resolveJobs(7), 7u);
 }
 
+TEST(ParseDecimal, ReadsWholeDecimals)
+{
+    EXPECT_EQ(sweep::parseDecimal<std::uint64_t>("--x", "0"), 0u);
+    EXPECT_EQ(sweep::parseDecimal<std::uint64_t>("--x",
+                                                 "18446744073709551615"),
+              ~std::uint64_t{0});
+    EXPECT_EQ(sweep::parseDecimal<std::int64_t>("--x", "-16"), -16);
+    EXPECT_EQ(sweep::parseDecimal<unsigned>("--x", "0042"), 42u);
+}
+
+TEST(ParseDecimalDeathTest, AnythingElseIsFatal)
+{
+    // A suffix, letters, a base prefix, spaces, a sign on an unsigned
+    // value, overflow, nothing: each names the flag and the text.
+    for (const char *bad : {"2x", "abc", "0x10", " 7", "7 ", "-1",
+                            "18446744073709551616", ""}) {
+        EXPECT_EXIT(sweep::parseDecimal<std::uint64_t>("--x", bad),
+                    ::testing::ExitedWithCode(1),
+                    std::string("--x takes a decimal number, got '") +
+                        bad + "'")
+            << bad;
+    }
+    EXPECT_EXIT(sweep::parseDecimal<std::int64_t>("--n", "1e3"),
+                ::testing::ExitedWithCode(1),
+                "--n takes a decimal number, got '1e3'");
+}
+
 TEST(SweepExecutor, RunAllPreservesInputOrder)
 {
     auto cells = twelveCells();

@@ -154,6 +154,36 @@ TEST(TraceCpu, BackpressureRetryPreservesChecker)
     EXPECT_EQ(rig.sg.scalar("cpu.ops"), 2000.0);
 }
 
+TEST(TraceCpu, CheckerNamesTheFirstMismatch)
+{
+    // Element 5 of a 16-read stream is overwritten in memory before
+    // the run, so only read 5 can disagree with the reference.
+    auto ck = scalarStream(16);
+    compiler::TraceOp op;
+    trace::GeneratorSource probe(ck);
+    for (int i = 0; i <= 5; ++i)
+        ASSERT_TRUE(probe.next(op));
+    CpuParams params;
+    params.checkData = true;
+    CpuRig rig(ck, params);
+    rig.hier.memory().store().writeWord(op.addr, 77);
+    rig.cpu.start();
+    Tick seen = 0;
+    while (rig.eq.step()) {
+        if (seen == 0 && rig.cpu.checkFailures() > 0)
+            seen = rig.eq.curTick();
+    }
+    ASSERT_TRUE(rig.cpu.done());
+    EXPECT_EQ(rig.cpu.checkFailures(), 1u);
+    const auto &m = rig.cpu.firstMismatch();
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->pos, 5u);
+    EXPECT_EQ(m->tick, seen);
+    EXPECT_EQ(m->addr, alignDown(op.addr, wordBytes));
+    EXPECT_EQ(m->got, 77u);
+    EXPECT_EQ(m->want, 0u);
+}
+
 TEST(TraceCpuDeathTest, ReadResponseWithoutCheckerEntryPanics)
 {
     auto ck = scalarStream(8);
@@ -168,6 +198,45 @@ TEST(TraceCpuDeathTest, ReadResponseWithoutCheckerEntryPanics)
     stray->makeResponse();
     EXPECT_DEATH(rig.cpu.recvResponse(std::move(stray)),
                  "no live checker entry");
+}
+
+TEST(TraceCpuDeathTest, ForeignWriteResponsePanics)
+{
+    auto ck = scalarStream(8);
+    CpuParams params;
+    params.checkData = true;
+    CpuRig rig(ck, params);
+    rig.cpu.start();
+    ASSERT_TRUE(rig.eq.step()); // first read issued, now in memory
+    // A write the CPU never issued is no more its own than a read.
+    auto stray = Packet::makeScalar(MemCmd::Write, 0, Orientation::Row,
+                                    0, 0, &rig.hier.pool());
+    stray->makeResponse();
+    EXPECT_DEATH(rig.cpu.recvResponse(std::move(stray)),
+                 "Write response with no live checker entry");
+}
+
+TEST(TraceCpuDeathTest, RepeatedReadResponsePanics)
+{
+    auto ck = scalarStream(8);
+    CpuParams params;
+    params.checkData = true;
+    CpuRig rig(ck, params);
+    rig.cpu.start();
+    // Step until the first read is answered, with others in flight.
+    unsigned most = 0;
+    while (rig.cpu.outstanding() >= most) {
+        most = std::max(most, rig.cpu.outstanding());
+        ASSERT_TRUE(rig.eq.step());
+    }
+    ASSERT_GT(rig.cpu.outstanding(), 0u);
+    // The answered read's packet went back to the pool, which hands
+    // its slot out first: the same slot answered a second time.
+    auto again = Packet::makeScalar(MemCmd::Read, 0, Orientation::Row,
+                                    0, 0, &rig.hier.pool());
+    again->makeResponse();
+    EXPECT_DEATH(rig.cpu.recvResponse(std::move(again)),
+                 "Read response with no live checker entry");
 }
 
 } // namespace
